@@ -8,6 +8,7 @@ function, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -31,7 +32,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlockDims:
-    """Dimensions of the coordinate blocks of the product space."""
+    """Dimensions of the coordinate blocks of the product space.
+
+    The flat layout (block start offsets and the total dimension) is
+    computed once at construction, so ``slice(i)`` and ``total`` cost O(1).
+    Equality and hashing look at ``dims`` only.
+    """
 
     dims: tuple[int, ...]
 
@@ -42,6 +48,7 @@ class BlockDims:
         if any(d < 1 for d in dims):
             raise ShapeError(f"every block dimension must be >= 1, got {dims}")
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "_offsets", (0, *itertools.accumulate(dims)))
 
     @property
     def m(self) -> int:
@@ -49,15 +56,12 @@ class BlockDims:
 
     @property
     def total(self) -> int:
-        return sum(self.dims)
+        return self._offsets[-1]
 
     @property
     def offsets(self) -> tuple[int, ...]:
         """Start offset of each block in the flat layout (plus the end)."""
-        out = [0]
-        for d in self.dims:
-            out.append(out[-1] + d)
-        return tuple(out)
+        return self._offsets
 
     def slice(self, i: int) -> slice:
         off = self.offsets

@@ -81,6 +81,7 @@ import concurrent.futures
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -1075,7 +1076,11 @@ def execute_run(
     """Run every seed, write per-seed trace CSVs and a JSON report.
 
     Exit status: 0 when every seed stopped at tolerance, 2 when some seed
-    exhausted its budget, 1 on configuration or I/O errors.
+    exhausted its budget, 1 on configuration or I/O errors or when some seed
+    raised.  A seed that raises is recorded as ``"<Type>: <message>"`` under
+    its ``error`` key in the report (with the traceback on stderr for
+    exceptions from outside blocksweep); the other seeds' traces and the
+    report are still written.
     """
     try:
         plan = _build_plan(rc)
@@ -1110,8 +1115,11 @@ def execute_run(
                 try:
                     _, trace, solution = fut.result()
                     results[seed] = (trace, solution)
-                except BlocksweepError as exc:
+                except Exception as exc:
+                    # one failing seed must not lose the other seeds' output
                     errors[seed] = f"{type(exc).__name__}: {exc}"
+                    if not isinstance(exc, BlocksweepError):
+                        traceback.print_exception(exc, file=sys.stderr)
     except OSError as exc:  # pragma: no cover - thread pool failure
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -36,6 +36,7 @@ from .errors import (
 from .operators import (
     BlockOperatorFamily,
     MonotoneOperator,
+    SeparableSweep,
     Subdifferential,
     graph_projection,
 )
@@ -388,13 +389,12 @@ def _full_fb_reference(
     tol: float,
 ) -> BlockVector:
     x = x0 if x0 is not None else construct(dims)
+    sweep = SeparableSweep(A, "resolvent")
     for _ in range(max_iterations):
-        bx = B.apply(x) if B is not None else None
-        parts = []
-        for i, op in enumerate(A):
-            arg = x.block(i) - gamma * bx.block(i) if bx is not None else x.block(i)
-            parts.append(op.resolvent(arg, gamma))
-        nxt = construct(dims, parts)
+        arg = x
+        if B is not None:
+            arg = BlockVector(dims, x.flat - gamma * B.apply(x).flat)
+        nxt = sweep.apply(arg, gamma)
         if distance(nxt, x) < tol:
             return nxt
         x = nxt
@@ -413,12 +413,11 @@ def _full_dr_reference(
     tol: float,
 ) -> BlockVector:
     x = construct(dims)
+    sweep = SeparableSweep(A, "resolvent")
     for _ in range(max_iterations):
         q = jb(x)
         refl = combine(2.0, q, -1.0, x)
-        ja = construct(
-            dims, [A[i].resolvent(refl.block(i), gamma) for i in range(dims.m)]
-        )
+        ja = sweep.apply(refl, gamma)
         residual = 2.0 * distance(ja, q)
         if residual < tol:
             return jb(x)

@@ -39,6 +39,7 @@ __all__ = [
     "BoxNormalCone",
     "resolvent",
     "blockwise_resolvent",
+    "SeparableSweep",
     "LinearBlockOperator",
     "GraphSubspace",
     "graph_projection",
@@ -389,16 +390,156 @@ def blockwise_resolvent(
     ops: Sequence[MonotoneOperator], gamma: float
 ) -> Callable[[BlockVector], BlockVector]:
     """Full-vector resolvent of a blockwise-separable monotone operator."""
-    dims = BlockDims([op.dim for op in ops])
+    sweep = SeparableSweep(ops, "resolvent")
+    return lambda x: sweep.apply(x, gamma)
 
-    def apply(x: BlockVector) -> BlockVector:
-        if x.dims != dims:
+
+# ---------------------------------------------------------------------------
+# grouped full sweeps over separable terms
+# ---------------------------------------------------------------------------
+
+
+def _elementwise(term):
+    """The catalog function behind ``term`` if its prox acts entrywise."""
+    if type(term) is Subdifferential:
+        term = term.fn
+    elif type(term) is BoxNormalCone:
+        term = term.box
+    return term if type(term) in _KERNELS else None
+
+
+class _Group:
+    """The blocks of one elementwise kind, gathered once.
+
+    ``idx`` selects their entries from the flat vector (a slice when they
+    are contiguous); the per-block parameters are stacked entry by entry so
+    one numpy expression reproduces every per-block call exactly.
+    """
+
+    def __init__(self, kind, members, offsets):
+        self.kind = kind
+        self.ids = np.array([i for i, _ in members])
+        fns = [f for _, f in members]
+        sizes = [f.dim for f in fns]
+        idx = np.concatenate([np.arange(offsets[i], offsets[i + 1])
+                              for i in self.ids])
+        start, stop = int(idx[0]), int(idx[-1]) + 1
+        self.idx = slice(start, stop) if stop - start == len(idx) else idx
+        if kind is L1Norm or kind is SquaredDistance:
+            self.w = np.repeat(np.array([f.weight for f in fns],
+                                        dtype=np.float64), sizes)
+        if kind is SquaredDistance:
+            self.center = np.concatenate([f.center for f in fns])
+        if kind is BoxIndicator:
+            self.lo = np.concatenate([f.lo for f in fns])
+            self.hi = np.concatenate([f.hi for f in fns])
+            self.starts = np.cumsum([0] + sizes[:-1])
+        if kind is L1Norm:
+            # values sum each block, so blocks of one dim share a 2-D gather
+            # whose row sums match the per-block 1-D sums bit for bit
+            by_dim: dict[int, list] = {}
+            for i, f in members:
+                by_dim.setdefault(f.dim, []).append((i, f))
+            self.rows = [
+                (np.array([i for i, _ in same]),
+                 np.array([np.arange(offsets[i], offsets[i + 1])
+                           for i, _ in same]),
+                 np.array([f.weight for _, f in same], dtype=np.float64))
+                for same in by_dim.values()
+            ]
+        self.fns = fns
+
+    def prox(self, xs: np.ndarray, gamma: float) -> np.ndarray:
+        kind = self.kind
+        if kind is L1Norm:
+            return np.sign(xs) * np.maximum(np.abs(xs) - self.w * gamma, 0.0)
+        if kind is SquaredDistance:
+            gw = gamma * self.w
+            return (xs + gw * self.center) / (1.0 + gw)
+        if kind is BoxIndicator:
+            return np.clip(xs, self.lo, self.hi)
+        return xs  # Zero
+
+    def values(self, flat: np.ndarray, out: np.ndarray, offsets) -> None:
+        kind = self.kind
+        if kind is L1Norm:
+            for ids, rows, w in self.rows:
+                out[ids] = w * np.abs(flat[rows]).sum(axis=1)
+        elif kind is BoxIndicator:
+            xs = flat[self.idx]
+            inside = (xs >= self.lo) & (xs <= self.hi)
+            out[self.ids] = np.where(
+                np.logical_and.reduceat(inside, self.starts), 0.0, math.inf)
+        elif kind is Zero:
+            out[self.ids] = 0.0
+        else:
+            # sq_l2 values are BLAS dot products: keep the per-block call
+            for i, f in zip(self.ids, self.fns):
+                out[i] = f.value(flat[offsets[i]:offsets[i + 1]])
+
+
+_KERNELS = (L1Norm, SquaredDistance, BoxIndicator, Zero)
+
+
+class SeparableSweep:
+    """Every block's prox or resolvent in one pass over a flat vector.
+
+    ``terms[i]`` acts on block ``i`` through its ``method`` (``"prox"`` for
+    catalog functions, ``"resolvent"`` for monotone operators).  Blocks whose
+    term is an ``l1``, ``sq_l2``, box or ``zero`` function, also when wrapped
+    in ``Subdifferential`` or ``BoxNormalCone``, are mapped by one numpy call
+    per kind over index arrays built here, with results equal entry for
+    entry to the per-block calls.  ``quadratic``, ball, ``LinearMonotone``
+    and any other term keep their per-block call.  Each sweep makes one dims
+    check and one gamma check.
+    """
+
+    def __init__(self, terms: Sequence, method: str):
+        self.method = method
+        self.dims = BlockDims([t.dim for t in terms])
+        grouped: dict[type, list] = {}
+        self._loose = []
+        for i, term in enumerate(terms):
+            fn = _elementwise(term)
+            if fn is None:
+                self._loose.append((i, term))
+            else:
+                grouped.setdefault(type(fn), []).append((i, fn))
+        self._groups = [_Group(kind, members, self.dims.offsets)
+                        for kind, members in grouped.items()]
+
+    def _check(self, x: BlockVector) -> None:
+        if x.dims != self.dims:
             raise ShapeError("vector dims do not match the operator blocks")
-        return construct(
-            dims, [op.resolvent(x.block(i), gamma) for i, op in enumerate(ops)]
-        )
 
-    return apply
+    def apply(self, x: BlockVector, gamma) -> BlockVector:
+        """The blockwise map at ``x`` with parameter ``gamma``."""
+        self._check(x)
+        flat, off = x.flat, self.dims.offsets
+        out = np.empty_like(flat)
+        if self._groups:
+            g = _check_gamma(gamma)
+            for group in self._groups:
+                out[group.idx] = group.prox(flat[group.idx], g)
+        for i, term in self._loose:
+            image = getattr(term, self.method)(flat[off[i]:off[i + 1]], gamma)
+            arr = np.atleast_1d(np.asarray(image, dtype=np.float64))
+            if arr.shape != (self.dims.dims[i],):
+                raise ShapeError(f"block {i} has shape {arr.shape}, expected "
+                                 f"({self.dims.dims[i]},)")
+            out[off[i]:off[i + 1]] = arr
+        return BlockVector(self.dims, out)
+
+    def values(self, x: BlockVector) -> list[float]:
+        """Per-block function values at ``x``, in block order."""
+        self._check(x)
+        flat, off = x.flat, self.dims.offsets
+        out = np.empty(self.dims.m)
+        for group in self._groups:
+            group.values(flat, out, off)
+        for i, term in self._loose:
+            out[i] = term.value(flat[off[i]:off[i + 1]])
+        return out.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -701,14 +842,18 @@ def prox_family(
     gamma,
     fixed_points: Sequence[BlockVector] = (),
 ) -> BlockOperatorFamily:
-    """Blockwise proximal map; firmly nonexpansive, so 1/2-averaged."""
-    dims = BlockDims([f.dim for f in fs])
+    """Blockwise proximal map; firmly nonexpansive, so 1/2-averaged.
+
+    ``evaluate`` is one grouped pass over the full vector: one numpy call
+    per elementwise kind (``l1``, ``sq_l2``, box, ``zero``) and one ``prox``
+    call per other block; see ``SeparableSweep``.
+    """
+    sweep = SeparableSweep(fs, "prox")
 
     def evaluate(n: int, x: BlockVector) -> BlockVector:
-        g = _value_at(gamma, n)
-        return construct(dims, [f.prox(x.block(i), g) for i, f in enumerate(fs)])
+        return sweep.apply(x, _value_at(gamma, n))
 
-    return BlockOperatorFamily(dims, evaluate, "averaged", 0.5,
+    return BlockOperatorFamily(sweep.dims, evaluate, "averaged", 0.5,
                                tuple(fixed_points))
 
 
@@ -716,16 +861,19 @@ def resolvent_family(
     ops: Sequence[MonotoneOperator],
     gamma,
 ) -> BlockOperatorFamily:
-    """Blockwise resolvent map; firmly nonexpansive, so 1/2-averaged."""
-    dims = BlockDims([op.dim for op in ops])
+    """Blockwise resolvent map; firmly nonexpansive, so 1/2-averaged.
+
+    ``evaluate`` is one grouped pass over the full vector: subdifferentials
+    of ``l1``, ``sq_l2``, box and ``zero`` terms and box normal cones are
+    mapped by one numpy call per kind, every other operator by its own
+    ``resolvent`` call; see ``SeparableSweep``.
+    """
+    sweep = SeparableSweep(ops, "resolvent")
 
     def evaluate(n: int, x: BlockVector) -> BlockVector:
-        g = _value_at(gamma, n)
-        return construct(
-            dims, [op.resolvent(x.block(i), g) for i, op in enumerate(ops)]
-        )
+        return sweep.apply(x, _value_at(gamma, n))
 
-    return BlockOperatorFamily(dims, evaluate, "averaged", 0.5)
+    return BlockOperatorFamily(sweep.dims, evaluate, "averaged", 0.5)
 
 
 def forward_step_family(B: CocoerciveOperator | None, gamma,

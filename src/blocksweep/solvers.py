@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -50,6 +51,7 @@ from .operators import (
     LinearBlockOperator,
     MonotoneOperator,
     ProxFunction,
+    SeparableSweep,
     SmoothTerm,
     Subdifferential,
     coupling_forward_operator,
@@ -304,10 +306,15 @@ class CoupledMinProblem:
     def forward(self) -> CocoerciveOperator:
         return coupling_forward_operator(self.L, self.smooth)
 
+    @cached_property
+    def _sweep(self) -> SeparableSweep:
+        return SeparableSweep(self.fs, "prox")
+
     def objective(self, x: BlockVector) -> float | None:
         if any(g.value is None for g in self.smooth):
             return None
-        total = sum(f.value(x.block(i)) for i, f in enumerate(self.fs))
+        # grouped per-block values, added in block order as a per-block loop
+        total = sum(self._sweep.values(x))
         y = self.L.apply(x)
         total += sum(g.value(y.block(k)) for k, g in enumerate(self.smooth))
         return float(total)
@@ -561,13 +568,11 @@ def _dr_engine(
     x, z = x0, z0
     termination = "max_iterations"
     mu_sched = cfg.dr_relaxation
+    sweep = SeparableSweep(A_ops, "resolvent")
     for n in range(cfg.max_iterations):
         q = jb(x)
         refl = combine(2.0, q, -1.0, x)
-        ja = construct(
-            dims,
-            [A_ops[i].resolvent(refl.block(i), gamma) for i in range(dims.m)],
-        )
+        ja = sweep.apply(refl, gamma)
         residual = 2.0 * distance(ja, q)
         dist = distance_fn(q) if distance_fn else None
         if residual < cfg.tolerance:

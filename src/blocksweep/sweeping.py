@@ -72,6 +72,11 @@ class SweepingRule:
                     "single_block weights must be > 0 so that every marginal "
                     "activation probability is > 0"
                 )
+            # normalised once: every mask draw and the mask law read it
+            w = np.asarray(w)
+            p = w / w.sum()
+            p.setflags(write=False)
+            object.__setattr__(self, "_block_p", p)
         elif self.scheme == "independent_bernoulli":
             q = self.probabilities
             if q is None or len(q) != self.m:
@@ -122,8 +127,7 @@ def sample_mask(rule: SweepingRule, iteration: int, seed: int) -> ActivationMask
     rng = _rng(seed, iteration, _MASK_STREAM)
     m = rule.m
     if rule.scheme == "single_block":
-        w = np.asarray(rule.weights)
-        i = int(rng.choice(m, p=w / w.sum()))
+        i = int(rng.choice(m, p=rule._block_p))
         bits = [0] * m
         bits[i] = 1
         return ActivationMask(bits)
@@ -160,8 +164,7 @@ def mask_law(rule: SweepingRule) -> MaskLaw:
         )
     support: list[tuple[ActivationMask, float]] = []
     if rule.scheme == "single_block":
-        w = np.asarray(rule.weights)
-        probs = w / w.sum()
+        probs = rule._block_p
         for i in range(m):
             bits = [0] * m
             bits[i] = 1

@@ -189,3 +189,17 @@ def test_distance():
     x = construct(d, [[0.0, 0.0]])
     y = construct(d, [[3.0, 4.0]])
     assert distance(x, y) == 5.0
+
+
+def test_layout_is_cached_and_equality_uses_dims_only():
+    import pickle
+
+    d = BlockDims([3, 1, 2])
+    assert d.offsets == (0, 3, 4, 6) and d.total == 6
+    assert d.offsets is d.offsets
+    assert d.slice(2) == slice(4, 6)
+    twin = BlockDims((3, 1, 2))
+    assert twin == d and hash(twin) == hash(d)
+    assert repr(d) == "BlockDims(dims=(3, 1, 2))"
+    back = pickle.loads(pickle.dumps(d))
+    assert back == d and back.offsets == d.offsets

@@ -391,3 +391,28 @@ def test_averaged_kind_requires_averaged_operator():
         "    {type: affine, matrix: [[0.5]]}")
     with pytest.raises(ConfigError, match="averaged"):
         parse_config(bad)
+
+
+def test_execute_run_foreign_exception_keeps_other_seeds(tmp_path, monkeypatch,
+                                                         capsys):
+    import blocksweep.cli as cli
+
+    real = cli.run_single_layer
+
+    def flaky(T, cfg, x0):
+        if cfg.seed == 1:
+            raise ValueError("user callable broke")
+        return real(T, cfg, x0)
+
+    monkeypatch.setattr(cli, "run_single_layer", flaky)
+    rc = parse_config(MINIMAL_KM.replace("seeds: [0]", "seeds: [0, 1, 2]"))
+    assert execute_run(rc, out_dir=str(tmp_path), workers=2) == 1
+    assert (tmp_path / "trace_seed0.csv").exists()
+    assert (tmp_path / "trace_seed2.csv").exists()
+    assert not (tmp_path / "trace_seed1.csv").exists()
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["per_seed"]["1"] == {"error": "ValueError: user callable broke"}
+    assert report["per_seed"]["0"]["reached_tolerance"]
+    assert report["per_seed"]["2"]["reached_tolerance"]
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "seed 1 failed" in err

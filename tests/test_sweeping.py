@@ -184,3 +184,17 @@ def test_error_reproducible_and_stream_separated():
     c = sample_error(model, dims, 7, seed=1, stream=2)
     assert a == b
     assert a != c
+
+
+def test_single_block_draws_use_the_normalised_weights():
+    w = [0.5, 2.0, 1.0, 3.5, 0.25]
+    rule = single_block(5, w)
+    p = np.asarray(w) / np.sum(w)
+    assert np.array_equal(rule._block_p, p)
+    assert not rule._block_p.flags.writeable
+    for n in range(50):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([11, n, 0x6D61736B]))
+        i = int(rng.choice(5, p=p))
+        assert sample_mask(rule, n, 11).active == (i,)
+    assert tuple(q for _, q in mask_law(rule).support) == tuple(map(float, p))
