@@ -9,7 +9,7 @@ function, so values can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -116,25 +116,28 @@ class BlockVector:
 
 @dataclass(frozen=True)
 class ActivationMask:
-    """Nonzero 0/1 activation pattern: which blocks update this iteration."""
+    """Nonzero 0/1 activation pattern: which blocks update this iteration.
+
+    ``active``, the indices of the set bits, is computed once here.
+    Equality and hashing look at ``bits`` only.
+    """
 
     bits: tuple[int, ...]
+    active: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, bits: Sequence[int]):
-        bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in bits):
+        bits = tuple(map(int, bits))
+        if not set(bits) <= {0, 1}:
             raise ShapeError(f"mask bits must be 0 or 1, got {bits}")
-        if not any(bits):
+        if 1 not in bits:
             raise ShapeError("mask must activate at least one block")
         object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "active",
+                           tuple(itertools.compress(range(len(bits)), bits)))
 
     @property
     def m(self) -> int:
         return len(self.bits)
-
-    @property
-    def active(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.bits) if b)
 
     def as_string(self) -> str:
         return "".join(str(b) for b in self.bits)

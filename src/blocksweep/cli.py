@@ -82,7 +82,8 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -130,11 +131,11 @@ from .solvers import (
     PdDrProblem,
     Schedule,
     SolverConfig,
+    _solve_dr,
+    _solve_fb,
+    _solve_fb_min,
     assemble_pd_problem,
-    run_dr,
     run_double_layer,
-    run_fb,
-    run_fb_min,
     run_pd_dr,
     run_single_layer,
 )
@@ -153,6 +154,9 @@ _KINDS = ("km", "averaged", "double_layer", "dr", "pd_dr", "fb", "fb_min")
 _FUNCTION_KINDS = ("l1", "sq_l2", "indicator_box", "indicator_ball",
                    "quadratic", "zero")
 _ERROR_SLOTS = ("a", "b", "c", "d")
+# libyaml's parser when PyYAML was built with it; same resolver and
+# constructor as yaml.SafeLoader, so the same documents
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +417,14 @@ def _norm_operator(node, context: str, dims: list[int]) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully validated run description in normalized plain data."""
+    """A fully validated run description in normalized plain data.
+
+    Treat it as immutable after ``parse_config``: its run plan (operators,
+    problem set-up, bound checks and the seed-independent solver settings)
+    is built on first use and cached on the instance, and every
+    ``execute_run`` call and every seed reuses it.  The cache is not a
+    field, so equality and ``parse(serialize(rc))`` ignore it.
+    """
 
     problem: dict
     solver: dict
@@ -440,6 +451,13 @@ class RunConfig:
         if self.output_directory is not None:
             doc["output"] = {"directory": self.output_directory}
         return doc
+
+    @cached_property
+    def _plan(self) -> "_RunPlan":
+        plan = _build_plan(self)
+        _validate_bounds(self, plan)
+        plan.config = _build_solver_config(self, plan, self.seeds[0])
+        return plan
 
 
 _PROBLEM_KEYS = {
@@ -722,6 +740,8 @@ class _RunPlan:
         self.runner = runner  # (SolverConfig) -> (IterateTrace, solution|None)
         self.problem = problem
         self.dims = dims
+        # the solver settings of the first seed; a run replaces the seed
+        self.config: SolverConfig | None = None
 
 
 def _initial(rc: RunConfig, key: str, dims: BlockDims) -> BlockVector:
@@ -799,8 +819,8 @@ def _build_plan(rc: RunConfig) -> _RunPlan:
         problem = DrProblem(A, jb, gamma, dims, b_forward)
         return _RunPlan(
             kind, dims.m,
-            lambda scfg: run_dr(A, jb, gamma, scfg, x0, z0,
-                                check_resolvent=False),
+            lambda scfg: _solve_dr(problem.resolvents, jb, gamma, scfg, x0,
+                                   z0, check_resolvent=False),
             problem, dims,
         )
     if kind == "pd_dr":
@@ -856,8 +876,9 @@ def _build_plan(rc: RunConfig) -> _RunPlan:
         problem = FbProblem(A, B, dims)
         return _RunPlan(
             kind, dims.m,
-            lambda scfg: (run_fb(A, B, scfg, x0, check_cocoercivity=False),
-                          None),
+            lambda scfg: (_solve_fb(problem.resolvents, B, scfg, x0,
+                                    objective_fn=None,
+                                    check_cocoercivity=False), None),
             problem, dims,
         )
     # fb_min
@@ -870,7 +891,7 @@ def _build_plan(rc: RunConfig) -> _RunPlan:
     x0 = _initial(rc, "x0", dims)
     return _RunPlan(
         "fb_min", dims.m,
-        lambda scfg: (run_fb_min(fs, smooth, grid, scfg, x0), None),
+        lambda scfg: (_solve_fb_min(problem, scfg, x0), None),
         problem, dims,
     )
 
@@ -897,9 +918,8 @@ def _build_errors(rc: RunConfig) -> dict[str, ErrorModel]:
     return out
 
 
-def _build_solver_config(rc: RunConfig, plan: _RunPlan, seed: int,
-                         max_iter: int | None = None,
-                         tol: float | None = None) -> SolverConfig:
+def _build_solver_config(rc: RunConfig, plan: _RunPlan,
+                         seed: int) -> SolverConfig:
     solver = rc.solver
     reference = None
     if rc.reference is not None:
@@ -911,9 +931,8 @@ def _build_solver_config(rc: RunConfig, plan: _RunPlan, seed: int,
         stepsize=(_build_schedule(solver["stepsize"])
                   if "stepsize" in solver else None),
         gamma=solver["gamma"],
-        max_iterations=max_iter if max_iter is not None
-        else solver["max_iterations"],
-        tolerance=tol if tol is not None else solver["tolerance"],
+        max_iterations=solver["max_iterations"],
+        tolerance=solver["tolerance"],
         seed=seed,
         errors=_build_errors(rc),
         reference=reference,
@@ -980,7 +999,7 @@ def _validate_bounds(rc: RunConfig, plan: _RunPlan) -> None:
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a run configuration document."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
@@ -1020,11 +1039,7 @@ def parse_config(text: str) -> RunConfig:
     rc = RunConfig(problem, solver, sweeping, errors, seeds, initial,
                    reference, output_directory)
     try:
-        plan = _build_plan(rc)
-        _build_sweeping(rc, plan.mask_blocks)
-        _build_errors(rc)
-        _validate_bounds(rc, plan)
-        _build_solver_config(rc, plan, seeds[0])
+        rc._plan  # built and bound-checked once, then reused by every run
     except (ParameterError, InvalidRuleError, ShapeError) as exc:
         raise ConfigError(str(exc)) from exc
     return rc
@@ -1043,6 +1058,9 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else format(value, ".17g")
 
 
+_MASK_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def write_trace(trace: IterateTrace, path: str) -> None:
     """Write one run as CSV with 17-significant-digit floats.
 
@@ -1052,7 +1070,8 @@ def write_trace(trace: IterateTrace, path: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("n,residual,dist_to_ref,active_mask,lambda,gamma,objective\n")
         for r in trace.records:
-            mask = "".join(str(b) for b in r.mask) if r.mask is not None else ""
+            mask = ("" if r.mask is None
+                    else bytes(r.mask).translate(_MASK_DIGITS).decode())
             row = [
                 str(r.n),
                 _fmt(r.residual),
@@ -1075,6 +1094,10 @@ def execute_run(
 ) -> int:
     """Run every seed, write per-seed trace CSVs and a JSON report.
 
+    The run plan is the one cached on ``rc`` (built by ``parse_config``),
+    so repeated calls and extra seeds redo no set-up: a seed only builds
+    its own ``SolverConfig`` from the cached one and runs the driver.
+
     Exit status: 0 when every seed stopped at tolerance, 2 when some seed
     exhausted its budget, 1 on configuration or I/O errors or when some seed
     raised.  A seed that raises is recorded as ``"<Type>: <message>"`` under
@@ -1083,8 +1106,7 @@ def execute_run(
     report are still written.
     """
     try:
-        plan = _build_plan(rc)
-        _validate_bounds(rc, plan)
+        plan = rc._plan
     except (BlocksweepError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -1098,8 +1120,14 @@ def execute_run(
               file=sys.stderr)
         return 1
 
+    overrides = {}
+    if max_iter is not None:
+        overrides["max_iterations"] = max_iter
+    if tol is not None:
+        overrides["tolerance"] = tol
+
     def one_seed(seed: int):
-        scfg = _build_solver_config(rc, plan, seed, max_iter, tol)
+        scfg = replace(plan.config, seed=seed, **overrides)
         trace, solution = plan.runner(scfg)
         return seed, trace, solution
 
@@ -1222,8 +1250,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         from .diagnostics import oracle_reference
 
         try:
-            plan = _build_plan(rc)
-            ref = oracle_reference(plan.problem)
+            ref = oracle_reference(rc._plan.problem)
         except BlocksweepError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -495,11 +495,12 @@ class SeparableSweep:
     """
 
     def __init__(self, terms: Sequence, method: str):
+        self.terms = tuple(terms)
         self.method = method
-        self.dims = BlockDims([t.dim for t in terms])
+        self.dims = BlockDims([t.dim for t in self.terms])
         grouped: dict[type, list] = {}
         self._loose = []
-        for i, term in enumerate(terms):
+        for i, term in enumerate(self.terms):
             fn = _elementwise(term)
             if fn is None:
                 self._loose.append((i, term))
@@ -858,7 +859,7 @@ def prox_family(
 
 
 def resolvent_family(
-    ops: Sequence[MonotoneOperator],
+    ops: Sequence[MonotoneOperator] | SeparableSweep,
     gamma,
 ) -> BlockOperatorFamily:
     """Blockwise resolvent map; firmly nonexpansive, so 1/2-averaged.
@@ -866,9 +867,12 @@ def resolvent_family(
     ``evaluate`` is one grouped pass over the full vector: subdifferentials
     of ``l1``, ``sq_l2``, box and ``zero`` terms and box normal cones are
     mapped by one numpy call per kind, every other operator by its own
-    ``resolvent`` call; see ``SeparableSweep``.
+    ``resolvent`` call; see ``SeparableSweep``.  ``ops`` may also be a
+    resolvent ``SeparableSweep`` built once over the operators; it is then
+    used as is, so repeated runs do not rebuild its index arrays.
     """
-    sweep = SeparableSweep(ops, "resolvent")
+    sweep = (ops if isinstance(ops, SeparableSweep)
+             else SeparableSweep(ops, "resolvent"))
 
     def evaluate(n: int, x: BlockVector) -> BlockVector:
         return sweep.apply(x, _value_at(gamma, n))

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -239,11 +238,20 @@ class KmProblem:
 
 @dataclass(frozen=True)
 class FbProblem:
-    """Blockwise inclusion ``0 in A_i x_i + B_i(x)`` with cocoercive ``B``."""
+    """Blockwise inclusion ``0 in A_i x_i + B_i(x)`` with cocoercive ``B``.
+
+    ``resolvents``, the sweep of the ``J_{gamma A_i}``, is built once here
+    and reused by every run.
+    """
 
     A: tuple[MonotoneOperator, ...]
     B: CocoerciveOperator | None
     dims: BlockDims
+    resolvents: SeparableSweep = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "resolvents",
+                           SeparableSweep(self.A, "resolvent"))
 
 
 @dataclass(frozen=True)
@@ -251,7 +259,8 @@ class DrProblem:
     """Inclusion ``0 in A_i x_i + B_i(x)`` given the coupled resolvent.
 
     ``B_forward`` optionally provides a single-valued evaluation of the
-    coupled operator for residual diagnostics.
+    coupled operator for residual diagnostics.  ``resolvents``, the sweep of
+    the ``J_{gamma A_i}``, is built once here and reused by every run.
     """
 
     A: tuple[MonotoneOperator, ...]
@@ -259,6 +268,11 @@ class DrProblem:
     gamma: float
     dims: BlockDims
     B_forward: CocoerciveOperator | None = None
+    resolvents: SeparableSweep = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "resolvents",
+                           SeparableSweep(self.A, "resolvent"))
 
 
 @dataclass(frozen=True)
@@ -266,13 +280,20 @@ class PdDrProblem:
     """Primal-dual splitting data over the paired space.
 
     Primal blocks carry the ``A_i``, image blocks the ``B_k``, and the
-    linear grid couples them through its graph subspace.
+    linear grid couples them through its graph subspace.  ``resolvents``,
+    the sweep of the resolvents over all ``m + p`` blocks, is built once
+    here and reused by every run.
     """
 
     h_ops: tuple[MonotoneOperator, ...]
     g_ops: tuple[MonotoneOperator, ...]
     L: LinearBlockOperator
     V: GraphSubspace
+    resolvents: SeparableSweep = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "resolvents",
+                           SeparableSweep(self.k_ops, "resolvent"))
 
     @property
     def h_dims(self) -> BlockDims:
@@ -293,22 +314,40 @@ class PdDrProblem:
 
 @dataclass(frozen=True)
 class CoupledMinProblem:
-    """Minimize ``sum_i f_i(x_i) + sum_k g_k(sum_i L_ki x_i)``."""
+    """Minimize ``sum_i f_i(x_i) + sum_k g_k(sum_i L_ki x_i)``.
+
+    Everything a run reuses is built once here: the coupling gradient with
+    its cocoercivity constant (``forward()``), ``resolvents``, the sweep of
+    the resolvents of the subdifferentials of the ``f_i``, and the prox
+    sweep that evaluates the objective.  The ``f_i`` must match the source
+    blocks of the grid.
+    """
 
     fs: tuple[ProxFunction, ...]
     smooth: tuple[SmoothTerm, ...]
     L: LinearBlockOperator
+    resolvents: SeparableSweep = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        dims = self.dims.dims
+        if len(self.fs) != len(dims):
+            raise ShapeError(f"need {len(dims)} functions, got {len(self.fs)}")
+        for i, f in enumerate(self.fs):
+            if f.dim != dims[i]:
+                raise ShapeError(f"function {i} has dim {f.dim}, expected "
+                                 f"{dims[i]}")
+        object.__setattr__(self, "_forward",
+                           coupling_forward_operator(self.L, self.smooth))
+        object.__setattr__(self, "resolvents", SeparableSweep(
+            [Subdifferential(f) for f in self.fs], "resolvent"))
+        object.__setattr__(self, "_sweep", SeparableSweep(self.fs, "prox"))
 
     @property
     def dims(self) -> BlockDims:
         return self.L.source_dims
 
     def forward(self) -> CocoerciveOperator:
-        return coupling_forward_operator(self.L, self.smooth)
-
-    @cached_property
-    def _sweep(self) -> SeparableSweep:
-        return SeparableSweep(self.fs, "prox")
+        return self._forward
 
     def objective(self, x: BlockVector) -> float | None:
         if any(g.value is None for g in self.smooth):
@@ -553,7 +592,7 @@ def _spot_check_resolvent(
 
 
 def _dr_engine(
-    A_ops: Sequence[MonotoneOperator],
+    sweep: SeparableSweep,
     jb: Callable[[BlockVector], BlockVector],
     gamma: float,
     cfg: SolverConfig,
@@ -568,7 +607,7 @@ def _dr_engine(
     x, z = x0, z0
     termination = "max_iterations"
     mu_sched = cfg.dr_relaxation
-    sweep = SeparableSweep(A_ops, "resolvent")
+    A_ops = sweep.terms
     for n in range(cfg.max_iterations):
         q = jb(x)
         refl = combine(2.0, q, -1.0, x)
@@ -623,7 +662,22 @@ def run_dr(
     Returns the trace of the governing sequence together with the primal
     point ``z = JB(x_final)`` and the dual point ``(x_final - z) / gamma``.
     """
+    return _solve_dr(SeparableSweep(A, "resolvent"), JB, gamma, cfg, x0, z0,
+                     check_resolvent)
+
+
+def _solve_dr(
+    resolvents: SeparableSweep,
+    JB: Callable[[BlockVector], BlockVector],
+    gamma: float,
+    cfg: SolverConfig,
+    x0: BlockVector,
+    z0: BlockVector | None,
+    check_resolvent: bool,
+) -> tuple[IterateTrace, PrimalDualSolution]:
+    """``run_dr`` given the resolvent sweep of the ``A_i`` (see ``DrProblem``)."""
     dims = x0.dims
+    A = resolvents.terms
     if len(A) != dims.m:
         raise ShapeError(f"need {dims.m} blockwise operators, got {len(A)}")
     for i, op in enumerate(A):
@@ -644,7 +698,7 @@ def run_dr(
     if check_resolvent:
         _spot_check_resolvent(JB, dims)
     trace, _ = _dr_engine(
-        A, JB, gamma, cfg, x0, z0,
+        resolvents, JB, gamma, cfg, x0, z0,
         _error_sampler(cfg, "a", dims),
         _error_sampler(cfg, "b", dims),
         _distance_to(cfg.reference),
@@ -767,7 +821,7 @@ def run_pd_dr(
             return distance(_split_pair(q, h, g)[0], ref)
 
     trace, _ = _dr_engine(
-        problem.k_ops, jb, gamma, cfg,
+        problem.resolvents, jb, gamma, cfg,
         _join_pair(x0, y0, k), _join_pair(z0, w0, k),
         _paired_error_sampler(cfg, "a", "b", h, g, k),
         _paired_error_sampler(cfg, "c", "d", h, g, k),
@@ -819,9 +873,23 @@ def run_fb(
     layers: the backward layer is the blockwise resolvent and the forward
     layer is ``x - gamma_n B x``.
     """
+    return _solve_fb(SeparableSweep(A, "resolvent"), B, cfg, x0, objective_fn,
+                     check_cocoercivity)
+
+
+def _solve_fb(
+    resolvents: SeparableSweep,
+    B: CocoerciveOperator | None,
+    cfg: SolverConfig,
+    x0: BlockVector,
+    objective_fn: Callable[[BlockVector], float] | None,
+    check_cocoercivity: bool,
+) -> IterateTrace:
+    """``run_fb`` given the resolvent sweep of the ``A_i`` (see ``FbProblem``)."""
     dims = x0.dims
-    if len(A) != dims.m:
-        raise ShapeError(f"need {dims.m} blockwise operators, got {len(A)}")
+    if len(resolvents.terms) != dims.m:
+        raise ShapeError(f"need {dims.m} blockwise operators, got "
+                         f"{len(resolvents.terms)}")
     _check_slots(cfg, ("a", "c"), "forward-backward driver")
     gamma = cfg.stepsize
     if gamma is None:
@@ -840,7 +908,7 @@ def run_fb(
             _spot_check_cocoercive(B)
     else:
         _require(lo > 0, "gamma_n must satisfy inf gamma_n > 0")
-    T = resolvent_family(A, gamma)
+    T = resolvent_family(resolvents, gamma)
     if T.dims != dims:
         raise ShapeError("blockwise operators do not match the iterate dims")
     R = forward_step_family(B, gamma, dims)
@@ -879,17 +947,17 @@ def run_fb_min(
     """
     if not isinstance(L, LinearBlockOperator):
         L = LinearBlockOperator(L)
-    problem = CoupledMinProblem(tuple(fs), tuple(smooth), L)
+    return _solve_fb_min(CoupledMinProblem(tuple(fs), tuple(smooth), L), cfg,
+                         x0)
+
+
+def _solve_fb_min(problem: CoupledMinProblem, cfg: SolverConfig,
+                  x0: BlockVector) -> IterateTrace:
+    """``run_fb_min`` on a problem built once (its set-up is reused)."""
     if x0.dims != problem.dims:
         raise ShapeError("starting point does not match the coupling grid")
-    for i, f in enumerate(problem.fs):
-        if f.dim != problem.dims.dims[i]:
-            raise ShapeError(f"function {i} has dim {f.dim}, expected "
-                             f"{problem.dims.dims[i]}")
-    B = problem.forward()
-    A = [Subdifferential(f) for f in problem.fs]
     objective_fn = None
     if all(g.value is not None for g in problem.smooth):
         objective_fn = problem.objective
-    return run_fb(A, B, cfg, x0, objective_fn=objective_fn,
-                  check_cocoercivity=False)
+    return _solve_fb(problem.resolvents, problem.forward(), cfg, x0,
+                     objective_fn, check_cocoercivity=False)

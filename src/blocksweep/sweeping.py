@@ -72,11 +72,16 @@ class SweepingRule:
                     "single_block weights must be > 0 so that every marginal "
                     "activation probability is > 0"
                 )
-            # normalised once: every mask draw and the mask law read it
+            # normalised once: every mask draw and the mask law read it;
+            # the CDF is the one Generator.choice(m, p=p) builds per call
             w = np.asarray(w)
             p = w / w.sum()
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
             p.setflags(write=False)
+            cdf.setflags(write=False)
             object.__setattr__(self, "_block_p", p)
+            object.__setattr__(self, "_block_cdf", cdf)
         elif self.scheme == "independent_bernoulli":
             q = self.probabilities
             if q is None or len(q) != self.m:
@@ -127,10 +132,10 @@ def sample_mask(rule: SweepingRule, iteration: int, seed: int) -> ActivationMask
     rng = _rng(seed, iteration, _MASK_STREAM)
     m = rule.m
     if rule.scheme == "single_block":
-        i = int(rng.choice(m, p=rule._block_p))
-        bits = [0] * m
-        bits[i] = 1
-        return ActivationMask(bits)
+        # the draw of rng.choice(m, p=rule._block_p), without its per-call
+        # validation and cumulative sum
+        i = int(rule._block_cdf.searchsorted(rng.random(), side="right"))
+        return ActivationMask((0,) * i + (1,) + (0,) * (m - i - 1))
     if rule.scheme == "independent_bernoulli":
         q = np.asarray(rule.probabilities)
         while True:

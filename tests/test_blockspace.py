@@ -203,3 +203,26 @@ def test_layout_is_cached_and_equality_uses_dims_only():
     assert repr(d) == "BlockDims(dims=(3, 1, 2))"
     back = pickle.loads(pickle.dumps(d))
     assert back == d and back.offsets == d.offsets
+
+
+def test_activation_mask_checks_and_active_indices():
+    for bad in ((2,), (0, 0), (-1, 1)):
+        with pytest.raises(ShapeError):
+            ActivationMask(bad)
+    from_ints = ActivationMask(np.array([0, 1, 1], dtype=np.int64))
+    from_bools = ActivationMask(np.array([False, True, True]))
+    assert from_ints.bits == from_bools.bits == (0, 1, 1)
+    assert all(type(b) is int for b in from_bools.bits)
+    assert ActivationMask([True, False]).bits == (1, 0)
+    assert from_ints == ActivationMask((0, 1, 1))
+    assert hash(from_ints) == hash(ActivationMask((0, 1, 1)))
+    assert repr(from_ints) == "ActivationMask(bits=(0, 1, 1))"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=1000)
+       .filter(lambda bits: 1 in bits))
+def test_activation_mask_active_equals_enumerate(bits):
+    mask = ActivationMask(bits)
+    assert mask.bits == tuple(bits)
+    assert mask.active == tuple(i for i, b in enumerate(mask.bits) if b)

@@ -416,3 +416,138 @@ def test_execute_run_foreign_exception_keeps_other_seeds(tmp_path, monkeypatch,
     assert report["per_seed"]["2"]["reached_tolerance"]
     err = capsys.readouterr().err
     assert "Traceback" in err and "seed 1 failed" in err
+
+
+def _config_texts():
+    """Every YAML run config written out in the test modules."""
+    import re
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    texts = []
+    for name in sorted(os.listdir(here)):
+        if name.startswith("test_") and name.endswith(".py"):
+            with open(os.path.join(here, name)) as fh:
+                texts += re.findall(r'"""(\nproblem:.*?)"""', fh.read(), re.S)
+    return [t.format(stepsize="1.0") if "{stepsize}" in t else t
+            for t in texts]
+
+
+def test_c_and_python_yaml_loaders_parse_equal_configs(monkeypatch):
+    import yaml
+
+    import blocksweep.cli as cli
+
+    if yaml.__with_libyaml__:
+        assert cli._YAML_LOADER is yaml.CSafeLoader
+    texts = _config_texts()
+    assert len(texts) >= 8
+    parsed = [parse_config(t) for t in texts]
+    monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
+    assert [parse_config(t) for t in texts] == parsed
+    with pytest.raises(ConfigError, match="line"):
+        parse_config("problem: [unclosed\n  bad: {")
+
+
+def test_plan_built_once_per_run_config(tmp_path, monkeypatch):
+    import blocksweep.cli as cli
+
+    built = []
+    real = cli._build_plan
+
+    def counting(rc):
+        built.append(rc)
+        return real(rc)
+
+    monkeypatch.setattr(cli, "_build_plan", counting)
+    rc = parse_config(DR_1D)
+    assert execute_run(rc, out_dir=str(tmp_path / "a")) == 0
+    assert execute_run(rc, out_dir=str(tmp_path / "b"), seeds=[7]) == 0
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(DR_1D)
+    assert main(["oracle", str(cfg_path)]) == 0
+    assert len(built) == 2
+    assert built[0] is rc and built[1] == rc and built[1] is not rc
+
+
+def test_fb_min_setup_is_not_repeated_per_seed(tmp_path, monkeypatch):
+    from blocksweep import operators
+
+    counts = {"cocoercivity_bound": 0, "SeparableSweep": 0}
+    real_bound = operators.cocoercivity_bound
+    real_init = operators.SeparableSweep.__init__
+
+    def bound(*args, **kwargs):
+        counts["cocoercivity_bound"] += 1
+        return real_bound(*args, **kwargs)
+
+    def init(self, *args, **kwargs):
+        counts["SeparableSweep"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "cocoercivity_bound", bound)
+    monkeypatch.setattr(operators.SeparableSweep, "__init__", init)
+
+    def counts_in_execute_run(seeds):
+        rc = parse_config(FB_MIN_LASSO.replace("seeds: [0, 1]",
+                                               f"seeds: {seeds}"))
+        counts.update(dict.fromkeys(counts, 0))
+        out = tmp_path / str(len(seeds))
+        assert execute_run(rc, out_dir=str(out), workers=2) == 0
+        return dict(counts)
+
+    assert counts_in_execute_run([0]) == counts_in_execute_run([0, 1, 2])
+
+
+def test_write_trace_mask_column_matches_str_join(tmp_path):
+    rng = np.random.default_rng(1234)
+    d = bs.BlockDims([1])
+    masks = [(1,), (0, 1), (1,) * 1000, (0,) * 999 + (1,), None]
+    for _ in range(40):
+        m = int(rng.integers(1, 1001))
+        bits = rng.integers(0, 2, size=m)
+        bits[rng.integers(m)] = 1
+        masks.append(tuple(int(b) for b in bits))
+    records = tuple(bs.TraceRecord(n, 1.0, mask, None, None, None, None, None)
+                    for n, mask in enumerate(masks))
+    path = tmp_path / "masks.csv"
+    write_trace(bs.IterateTrace(records, bs.construct(d), "max_iterations"),
+                str(path))
+    column = [row.split(",")[3] for row in path.read_text().splitlines()[1:]]
+    assert column == ["" if mask is None else "".join(str(b) for b in mask)
+                      for mask in masks]
+
+
+FB_MIN_SHARED = """
+problem:
+  kind: fb_min
+  dims: [1, 2, 1]
+  functions:
+    - {kind: l1, dim: 1, weight: 0.2}
+    - {kind: sq_l2, center: [0.5, -0.5]}
+    - {kind: indicator_box, lo: [-1.0], hi: [1.0]}
+  smooth:
+    - {kind: sq_l2, center: [1.0, 2.0]}
+  grid: [[[[1.0], [0.0]], [[1.0, 0.0], [0.0, 1.0]], [[0.0], [1.0]]]]
+solver: {relaxation: 0.9, stepsize: 0.2, tolerance: 1.0e-9,
+         max_iterations: 300}
+sweeping: {scheme: single_block}
+errors:
+  a: {kind: gaussian_decay, scale: 0.01, decay: 0.9}
+seeds: [0, 1, 2, 3, 4, 5, 6, 7]
+"""
+
+
+def test_seeds_sharing_one_plan_match_serial_runs(tmp_path):
+    import sys
+
+    rc = parse_config(FB_MIN_SHARED)
+    serial, threaded = tmp_path / "serial", tmp_path / "threaded"
+    code = execute_run(rc, out_dir=str(serial), workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert execute_run(rc, out_dir=str(threaded), workers=8) == code
+    finally:
+        sys.setswitchinterval(interval)
+    for name in [f"trace_seed{s}.csv" for s in rc.seeds] + ["report.json"]:
+        assert (threaded / name).read_bytes() == (serial / name).read_bytes()

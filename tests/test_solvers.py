@@ -618,3 +618,15 @@ def test_solver_config_validation():
         SolverConfig(sweeping=bs.single_block(1), errors={"q": bs.ErrorModel()})
     with pytest.raises(bs.ParameterError):
         SolverConfig(sweeping=bs.single_block(1), gamma=0.0)
+
+
+def test_coupled_min_problem_checks_functions_against_grid():
+    L = bs.LinearBlockOperator([[np.eye(1), np.eye(1)]])
+    smooth = (bs.SmoothTerm.squared_distance(np.zeros(1)),)
+    with pytest.raises(bs.ShapeError, match="need 2 functions, got 1"):
+        bs.CoupledMinProblem((bs.L1Norm(1),), smooth, L)
+    with pytest.raises(bs.ShapeError, match="function 1 has dim 2"):
+        bs.CoupledMinProblem((bs.L1Norm(1), bs.L1Norm(2)), smooth, L)
+    problem = bs.CoupledMinProblem((bs.L1Norm(1), bs.Zero(1)), smooth, L)
+    assert problem.forward() is problem.forward()
+    assert problem.resolvents.dims == problem.dims

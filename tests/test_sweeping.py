@@ -198,3 +198,18 @@ def test_single_block_draws_use_the_normalised_weights():
         i = int(rng.choice(5, p=p))
         assert sample_mask(rule, n, 11).active == (i,)
     assert tuple(q for _, q in mask_law(rule).support) == tuple(map(float, p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 1000), weight_seed=st.integers(0, 2**32 - 1),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(0, 10**6))
+def test_single_block_draws_equal_generator_choice(m, weight_seed, seed, n):
+    # positive weights over six orders of magnitude
+    w = 10.0 ** np.random.default_rng(weight_seed).uniform(-3.0, 3.0, m)
+    rule = single_block(m, w)
+    p = np.asarray(rule.weights) / np.sum(rule.weights)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, n, 0x6D61736B]))
+    i = int(rng.choice(m, p=p))
+    mask = sample_mask(rule, n, seed)
+    assert mask.active == (i,)
+    assert mask.bits == tuple(int(j == i) for j in range(m))
