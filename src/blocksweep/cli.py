@@ -67,8 +67,11 @@ full grammar:
 ``{type: identity}``, ``{type: constant, value}``,
 ``{type: forward_step, smooth: [...], grid: ..., stepsize}``.
 
-Every driver hypothesis bound is validated at parse time; unknown keys are
-rejected.  Traces are written one CSV per seed with 17-significant-digit
+Each kind of spec is one entry of a table that gives its keys (with their
+coercers and defaults) and its constructor; one walker checks every spec
+against its entry, and unknown or missing keys are rejected.  The bounds of
+the driver hypotheses are checked by the drivers' own checks, called once at
+parse time on the first seed's settings.  Traces are written one CSV per seed with 17-significant-digit
 floats so a replayed run produces byte-identical files; the aggregate report
 is JSON.  The only environment override is ``BLOCKSWEEP_OUT`` for the output
 directory.
@@ -84,7 +87,7 @@ import sys
 import traceback
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import yaml
@@ -106,8 +109,6 @@ from .operators import (
     L1Norm,
     LinearBlockOperator,
     LinearMonotone,
-    MonotoneOperator,
-    ProxFunction,
     Quadratic,
     SmoothTerm,
     SquaredDistance,
@@ -128,14 +129,16 @@ from .solvers import (
     FbProblem,
     IterateTrace,
     KmProblem,
-    PdDrProblem,
     Schedule,
     SolverConfig,
-    _solve_dr,
-    _solve_fb,
-    _solve_fb_min,
+    _check_double_layer,
+    _check_forward_backward,
+    _check_single_layer,
+    _check_splitting,
     assemble_pd_problem,
     run_double_layer,
+    run_dr,
+    run_fb,
     run_pd_dr,
     run_single_layer,
 )
@@ -150,9 +153,6 @@ __all__ = [
     "main",
 ]
 
-_KINDS = ("km", "averaged", "double_layer", "dr", "pd_dr", "fb", "fb_min")
-_FUNCTION_KINDS = ("l1", "sq_l2", "indicator_box", "indicator_ball",
-                   "quadratic", "zero")
 _ERROR_SLOTS = ("a", "b", "c", "d")
 # libyaml's parser when PyYAML was built with it; same resolver and
 # constructor as yaml.SafeLoader, so the same documents
@@ -187,68 +187,107 @@ def _get(node: Mapping, key: str, context: str):
     return node[key]
 
 
-def _float(value, context: str) -> float:
+# ---------------------------------------------------------------------------
+# coercers: (value, context, dims) -> plain data, where dims are the block
+# dimensions of the problem, read by the per-block coercers
+# ---------------------------------------------------------------------------
+
+
+def _float(value, context: str, dims=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(context, f"expected a number, got {value!r}")
     return float(value)
 
 
-def _int(value, context: str) -> int:
+def _int(value, context: str, dims=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(context, f"expected an integer, got {value!r}")
     return int(value)
 
 
-def _float_list(value, context: str) -> list[float]:
-    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
-        _fail(context, f"expected an array of numbers, got {value!r}")
-    return [_float(v, f"{context}[{i}]") for i, v in enumerate(value)]
+def _list_of(item, per_block: bool = False):
+    """The coercer of an array whose entries ``item`` coerces.
+
+    With ``per_block`` the array needs one entry per block of the problem.
+    """
+
+    def coerce(value, context: str, dims=None) -> list:
+        if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+            _fail(context, f"expected an array, got {value!r}")
+        if per_block and len(value) != len(dims):
+            _fail(context, f"expected {len(dims)} entries, one per block, "
+                           f"got {len(value)}")
+        return [item(v, f"{context}[{i}]", dims) for i, v in enumerate(value)]
+
+    return coerce
 
 
-def _int_list(value, context: str) -> list[int]:
-    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
-        _fail(context, f"expected an array of integers, got {value!r}")
-    return [_int(v, f"{context}[{i}]") for i, v in enumerate(value)]
+_float_list = _list_of(_float)
+_int_list = _list_of(_int)
+_rows = _list_of(_float_list)
+_per_block_arrays = _list_of(_float_list, per_block=True)
 
 
-def _matrix(value, context: str) -> list[list[float]]:
-    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
-        _fail(context, f"expected a matrix (array of rows), got {value!r}")
-    rows = [_float_list(r, f"{context}[{i}]") for i, r in enumerate(value)]
+def _matrix(value, context: str, dims=None) -> list[list[float]]:
+    rows = _rows(value, context)
     if not rows:
         _fail(context, "matrix must have at least one row")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    if any(len(r) != len(rows[0]) for r in rows):
         _fail(context, "matrix rows must have equal length")
     return rows
 
 
-def _blocks_value(value, dims: list[int], context: str) -> list[list[float]]:
-    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
-        _fail(context, "expected per-block arrays")
-    if len(value) != len(dims):
-        _fail(context, f"expected {len(dims)} blocks, got {len(value)}")
-    out = []
-    for i, blk in enumerate(value):
-        arr = _float_list(blk, f"{context}[{i}]")
-        if len(arr) != dims[i]:
-            _fail(context, f"block {i} has length {len(arr)}, expected "
-                           f"{dims[i]}")
-        out.append(arr)
-    return out
+_grid_rows = _list_of(_list_of(_matrix))
 
 
-def _schedule_node(value, context: str) -> dict:
+def _grid(value, context: str, dims=None) -> list[list[list[list[float]]]]:
+    rows = _grid_rows(value, context)
+    if not rows or not rows[0]:
+        _fail(context, "grid must be at least 1 x 1")
+    if any(len(r) != len(rows[0]) for r in rows):
+        _fail(context, "grid rows must have equal length")
+    return rows
+
+
+def _dims(value, context: str, dims=None) -> list[int]:
+    dims = _int_list(value, context)
+    if not dims or any(d < 1 for d in dims):
+        _fail(context, "block dimensions must be positive")
+    return dims
+
+
+def _blocks_value(value, context: str, dims) -> list[list[float]]:
+    blocks = _per_block_arrays(value, context, dims)
+    for i, (block, d) in enumerate(zip(blocks, dims)):
+        if len(block) != d:
+            _fail(context, f"block {i} has length {len(block)}, expected {d}")
+    return blocks
+
+
+def _full_vector(value, context: str, dims) -> list[float]:
+    vec = _float_list(value, context)
+    if len(vec) != sum(dims):
+        _fail(context, f"expected length {sum(dims)}, got {len(vec)}")
+    return vec
+
+
+def _one_of(*choices: str):
+    def coerce(value, context: str, dims=None) -> str:
+        if value not in choices:
+            _fail(context, f"expected one of {list(choices)}, got {value!r}")
+        return value
+
+    return coerce
+
+
+def _schedule_node(value, context: str, dims=None) -> dict:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return {"start": float(value)}
-    node = _mapping(value, context)
-    _allow_keys(node, ("start", "end", "ramp"), context)
-    out = {"start": _float(_get(node, "start", context), f"{context}.start")}
-    if "end" in node or "ramp" in node:
-        out["end"] = _float(_get(node, "end", context), f"{context}.end")
-        out["ramp"] = _int(_get(node, "ramp", context), f"{context}.ramp")
-        if out["ramp"] < 1:
-            _fail(context, "ramp must be >= 1")
+    out = _walk(value, context, _RAMP)
+    if ("end" in out) != ("ramp" in out):
+        _fail(context, "a ramp needs both end and ramp")
+    if out.get("ramp", 1) < 1:
+        _fail(context, "ramp must be >= 1")
     return out
 
 
@@ -259,155 +298,246 @@ def _build_schedule(node: Mapping) -> Schedule:
 
 
 # ---------------------------------------------------------------------------
-# spec normalization (plain data in, plain data out)
+# spec tables: each kind maps its keys to (coercer, default) and names the
+# constructor of what it describes
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()  # default of a key that must be given
+_OMITTED = object()   # default of a key left out of the spec when absent
 
-def _norm_function(node, context: str) -> dict:
+
+class _Table(NamedTuple):
+    name: str   # what the kinds are kinds of, for messages
+    tag: str    # the key that names the kind
+    kinds: dict  # kind -> (fields, build)
+
+
+def _walk(node, context: str, fields: Mapping, dims=None,
+          head: Mapping = {}) -> dict:
+    """Normalise ``node`` by ``fields``: key -> (coercer, default).
+
+    Keys outside ``fields`` and ``head`` (keys already read, such as the
+    kind tag) are rejected, and so are missing required keys; a given value,
+    or else a default other than ``_OMITTED``, goes through its coercer.
+    """
     node = _mapping(node, context)
-    kind = _get(node, "kind", context)
-    if kind == "l1":
-        _allow_keys(node, ("kind", "dim", "weight"), context)
-        return {"kind": "l1", "dim": _int(_get(node, "dim", context), context),
-                "weight": _float(node.get("weight", 1.0), context)}
-    if kind == "sq_l2":
-        _allow_keys(node, ("kind", "center", "weight"), context)
-        return {"kind": "sq_l2",
-                "center": _float_list(_get(node, "center", context), context),
-                "weight": _float(node.get("weight", 1.0), context)}
-    if kind == "indicator_box":
-        _allow_keys(node, ("kind", "lo", "hi"), context)
-        return {"kind": "indicator_box",
-                "lo": _float_list(_get(node, "lo", context), context),
-                "hi": _float_list(_get(node, "hi", context), context)}
-    if kind == "indicator_ball":
-        _allow_keys(node, ("kind", "center", "radius"), context)
-        return {"kind": "indicator_ball",
-                "center": _float_list(_get(node, "center", context), context),
-                "radius": _float(_get(node, "radius", context), context)}
-    if kind == "quadratic":
-        _allow_keys(node, ("kind", "matrix", "offset"), context)
-        return {"kind": "quadratic",
-                "matrix": _matrix(_get(node, "matrix", context), context),
-                "offset": _float_list(_get(node, "offset", context), context)}
-    if kind == "zero":
-        _allow_keys(node, ("kind", "dim"), context)
-        return {"kind": "zero", "dim": _int(_get(node, "dim", context), context)}
-    _fail(context, f"unknown function kind {kind!r}; expected one of "
-                   f"{_FUNCTION_KINDS}")
+    out = dict(head)
+    _allow_keys(node, [*out, *fields], context)
+    for key, (coerce, default) in fields.items():
+        value = node.get(key, default)
+        if value is _REQUIRED:
+            _fail(context, f"missing required key {key!r}")
+        if value is not _OMITTED:
+            out[key] = coerce(value, f"{context}.{key}", dims)
+            if key == "dims":  # a problem's later keys see its own dims
+                dims = out[key]
+    return out
 
 
-def _norm_monotone(node, context: str) -> dict:
+def _spec(node, context: str, table: _Table, dims=None) -> dict:
     node = _mapping(node, context)
-    kind = _get(node, "kind", context)
-    if kind in _FUNCTION_KINDS:
-        return _norm_function(node, context)
-    if kind == "linear_monotone":
-        _allow_keys(node, ("kind", "matrix", "offset"), context)
-        out = {"kind": "linear_monotone",
-               "matrix": _matrix(_get(node, "matrix", context), context)}
-        if "offset" in node:
-            out["offset"] = _float_list(node["offset"], context)
-        return out
-    if kind == "normal_cone_box":
-        _allow_keys(node, ("kind", "lo", "hi"), context)
-        return {"kind": "normal_cone_box",
-                "lo": _float_list(_get(node, "lo", context), context),
-                "hi": _float_list(_get(node, "hi", context), context)}
-    _fail(context, f"unknown operator kind {kind!r}")
+    kind = _get(node, table.tag, context)
+    if not isinstance(kind, str) or kind not in table.kinds:
+        _fail(context, f"unknown {table.name} {table.tag} {kind!r}; expected "
+                       f"one of {list(table.kinds)}")
+    return _walk(node, context, table.kinds[kind][0], dims, {table.tag: kind})
 
 
-def _norm_smooth(node, context: str) -> dict:
-    node = _mapping(node, context)
-    kind = _get(node, "kind", context)
-    if kind == "sq_l2":
-        _allow_keys(node, ("kind", "center", "weight"), context)
-        return {"kind": "sq_l2",
-                "center": _float_list(_get(node, "center", context), context),
-                "weight": _float(node.get("weight", 1.0), context)}
-    if kind == "quadratic":
-        _allow_keys(node, ("kind", "matrix", "offset"), context)
-        return {"kind": "quadratic",
-                "matrix": _matrix(_get(node, "matrix", context), context),
-                "offset": _float_list(_get(node, "offset", context), context)}
-    _fail(context, f"unknown smooth kind {kind!r}; expected sq_l2 or "
-                   "quadratic")
+def _spec_of(table: _Table):
+    return lambda value, context, dims=None: _spec(value, context, table, dims)
 
 
-def _norm_grid(node, context: str) -> list[list[list[list[float]]]]:
-    if not isinstance(node, Sequence) or isinstance(node, (str, bytes)):
-        _fail(context, "expected a grid (array of rows of matrices)")
-    rows = []
-    for k, row in enumerate(node):
-        if not isinstance(row, Sequence) or isinstance(row, (str, bytes)):
-            _fail(f"{context}[{k}]", "expected an array of matrices")
-        rows.append([_matrix(e, f"{context}[{k}][{i}]")
-                     for i, e in enumerate(row)])
-    if not rows or not rows[0]:
-        _fail(context, "grid must be at least 1 x 1")
-    if any(len(r) != len(rows[0]) for r in rows):
-        _fail(context, "grid rows must have equal length")
-    return rows
+def _build(table: _Table, spec: Mapping, *args):
+    """Construct what the normalised ``spec`` of ``table`` describes."""
+    return table.kinds[spec[table.tag]][1](spec, *args)
 
 
-def _norm_operator(node, context: str, dims: list[int]) -> dict:
-    node = _mapping(node, context)
-    typ = _get(node, "type", context)
-    total = sum(dims)
-    if typ == "prox":
-        _allow_keys(node, ("type", "functions", "gamma"), context)
-        fns = _get(node, "functions", context)
-        if not isinstance(fns, Sequence) or len(fns) != len(dims):
-            _fail(context, f"need {len(dims)} functions, one per block")
-        return {"type": "prox",
-                "functions": [_norm_function(f, f"{context}.functions[{i}]")
-                              for i, f in enumerate(fns)],
-                "gamma": _float(node.get("gamma", 1.0), context)}
-    if typ == "box_projection":
-        _allow_keys(node, ("type", "lo", "hi"), context)
-        lo = _float_list(_get(node, "lo", context), context)
-        hi = _float_list(_get(node, "hi", context), context)
-        if len(lo) != total or len(hi) != total:
-            _fail(context, f"box bounds must have length {total}")
-        return {"type": "box_projection", "lo": lo, "hi": hi}
-    if typ == "affine":
-        _allow_keys(node, ("type", "matrix", "offset", "regularity",
-                           "alpha", "fixed_points"), context)
-        out = {"type": "affine",
-               "matrix": _matrix(_get(node, "matrix", context), context),
-               "regularity": node.get("regularity", "nonexpansive")}
-        if out["regularity"] not in ("nonexpansive", "quasinonexpansive",
-                                     "averaged"):
-            _fail(context, f"unknown regularity {out['regularity']!r}")
-        if "offset" in node:
-            out["offset"] = _float_list(node["offset"], context)
-        if "alpha" in node:
-            out["alpha"] = _schedule_node(node["alpha"], f"{context}.alpha")
-        if "fixed_points" in node:
-            out["fixed_points"] = [
-                _blocks_value(fp, dims, f"{context}.fixed_points[{j}]")
-                for j, fp in enumerate(node["fixed_points"])
-            ]
-        return out
-    if typ == "identity":
-        _allow_keys(node, ("type",), context)
-        return {"type": "identity"}
-    if typ == "constant":
-        _allow_keys(node, ("type", "value"), context)
-        return {"type": "constant",
-                "value": _blocks_value(_get(node, "value", context), dims,
-                                       f"{context}.value")}
-    if typ == "forward_step":
-        _allow_keys(node, ("type", "smooth", "grid", "stepsize"), context)
-        smooth = _get(node, "smooth", context)
-        return {"type": "forward_step",
-                "smooth": [_norm_smooth(s, f"{context}.smooth[{k}]")
-                           for k, s in enumerate(smooth)],
-                "grid": _norm_grid(_get(node, "grid", context),
-                                   f"{context}.grid"),
-                "stepsize": _schedule_node(_get(node, "stepsize", context),
-                                           f"{context}.stepsize")}
-    _fail(context, f"unknown operator type {typ!r}")
+def _array(spec: Mapping, key: str) -> np.ndarray | None:
+    return np.array(spec[key]) if key in spec else None
+
+
+# The constructors below name module globals that are looked up when a spec
+# is built, so rebinding one of them here (as a tracing wrapper does) also
+# reaches CLI-built objects.
+
+_RAMP = {"start": (_float, _REQUIRED), "end": (_float, _OMITTED),
+         "ramp": (_int, _OMITTED)}
+_SQ_L2 = {"center": (_float_list, _REQUIRED), "weight": (_float, 1.0)}
+_QUADRATIC = {"matrix": (_matrix, _REQUIRED),
+              "offset": (_float_list, _REQUIRED)}
+_LO_HI = {"lo": (_float_list, _REQUIRED), "hi": (_float_list, _REQUIRED)}
+_LINEAR = {"matrix": (_matrix, _REQUIRED), "offset": (_float_list, _OMITTED)}
+
+_FUNCTIONS = _Table("function", "kind", {
+    "l1": ({"dim": (_int, _REQUIRED), "weight": (_float, 1.0)},
+           lambda s: L1Norm(s["dim"], s["weight"])),
+    "sq_l2": (_SQ_L2,
+              lambda s: SquaredDistance(np.array(s["center"]), s["weight"])),
+    "indicator_box": (_LO_HI, lambda s: BoxIndicator(np.array(s["lo"]),
+                                                     np.array(s["hi"]))),
+    "indicator_ball": (
+        {"center": (_float_list, _REQUIRED), "radius": (_float, _REQUIRED)},
+        lambda s: BallIndicator(np.array(s["center"]), s["radius"])),
+    "quadratic": (_QUADRATIC, lambda s: Quadratic(np.array(s["matrix"]),
+                                                  np.array(s["offset"]))),
+    "zero": ({"dim": (_int, _REQUIRED)}, lambda s: Zero(s["dim"])),
+})
+
+# a function spec stands for its subdifferential
+_MONOTONES = _Table("operator", "kind", {
+    **{kind: (fields, lambda s: Subdifferential(_build(_FUNCTIONS, s)))
+       for kind, (fields, _) in _FUNCTIONS.kinds.items()},
+    "linear_monotone": (_LINEAR, lambda s: LinearMonotone(
+        np.array(s["matrix"]), _array(s, "offset"))),
+    "normal_cone_box": (_LO_HI, lambda s: BoxNormalCone(np.array(s["lo"]),
+                                                        np.array(s["hi"]))),
+})
+
+_SMOOTHS = _Table("smooth", "kind", {
+    "sq_l2": (_SQ_L2, lambda s: SmoothTerm.squared_distance(
+        np.array(s["center"]), s["weight"])),
+    "quadratic": (_QUADRATIC, lambda s: SmoothTerm.quadratic(
+        np.array(s["matrix"]), np.array(s["offset"]))),
+})
+
+_BLOCK_FUNCTIONS = _list_of(_spec_of(_FUNCTIONS), per_block=True)
+_BLOCK_MONOTONES = _list_of(_spec_of(_MONOTONES), per_block=True)
+_SMOOTH_TERMS = _list_of(_spec_of(_SMOOTHS))
+_COUPLED_SMOOTH = {"smooth": (_SMOOTH_TERMS, _REQUIRED),
+                   "grid": (_grid, _REQUIRED)}
+
+
+def _grid_on(spec: Mapping, dims: BlockDims) -> LinearBlockOperator:
+    grid = LinearBlockOperator([[np.array(e) for e in row]
+                                for row in spec["grid"]])
+    if grid.source_dims != dims:
+        raise ConfigError("grid columns do not match problem dims")
+    return grid
+
+
+def _coupling_gradient(spec: Mapping, dims: BlockDims) -> CocoerciveOperator:
+    return coupling_forward_operator(
+        _grid_on(spec, dims), [_build(_SMOOTHS, s) for s in spec["smooth"]])
+
+
+def _prox(spec: Mapping, dims: BlockDims) -> BlockOperatorFamily:
+    fam = prox_family([_build(_FUNCTIONS, f) for f in spec["functions"]],
+                      spec["gamma"])
+    if fam.dims != dims:
+        raise ConfigError("operator functions do not match problem dims")
+    return fam
+
+
+def _affine(spec: Mapping, dims: BlockDims) -> BlockOperatorFamily:
+    alpha = _build_schedule(spec["alpha"]) if "alpha" in spec else None
+    fixed = tuple(construct(dims, fp) for fp in spec.get("fixed_points", []))
+    return affine_family(dims, np.array(spec["matrix"]), _array(spec, "offset"),
+                         spec["regularity"], alpha, fixed)
+
+
+_OPERATORS = _Table("operator", "type", {
+    "prox": ({"functions": (_BLOCK_FUNCTIONS, _REQUIRED),
+              "gamma": (_float, 1.0)}, _prox),
+    "box_projection": (
+        {"lo": (_full_vector, _REQUIRED), "hi": (_full_vector, _REQUIRED)},
+        lambda s, dims: box_projection_family(np.array(s["lo"]),
+                                              np.array(s["hi"]), dims)),
+    "affine": ({"matrix": (_matrix, _REQUIRED),
+                "offset": (_float_list, _OMITTED),
+                "regularity": (_one_of("nonexpansive", "quasinonexpansive",
+                                       "averaged"), "nonexpansive"),
+                "alpha": (_schedule_node, _OMITTED),
+                "fixed_points": (_list_of(_blocks_value), _OMITTED)},
+               _affine),
+    "identity": ({}, lambda s, dims: affine_family(
+        dims, np.eye(dims.total), None, "averaged", 1e-9)),
+    "constant": ({"value": (_blocks_value, _REQUIRED)},
+                 lambda s, dims: constant_family(construct(dims, s["value"]))),
+    "forward_step": (
+        {**_COUPLED_SMOOTH, "stepsize": (_schedule_node, _REQUIRED)},
+        lambda s, dims: forward_step_family(
+            _coupling_gradient(s, dims), _build_schedule(s["stepsize"]),
+            dims)),
+})
+
+
+def _linear_coupling(spec: Mapping, dims: BlockDims, gamma: float):
+    """The coupled resolvent of a linear monotone ``B`` and ``B`` itself."""
+    M = np.array(spec["matrix"])
+    op = LinearMonotone(M, _array(spec, "offset"))
+    if op.dim != dims.total:
+        raise ConfigError("coupling matrix must act on the full space")
+    norm = spectral_norm_psd(0.5 * (M + M.T))
+    b_forward = CocoerciveOperator(
+        dims, lambda v: BlockVector(dims, op.apply(v.flat)),
+        1.0 / norm if norm > 0 else 1.0)
+    return (lambda v: BlockVector(dims, op.resolvent(v.flat, gamma)),
+            b_forward)
+
+
+_COUPLINGS = _Table("coupling", "type", {
+    "linear": (_LINEAR, _linear_coupling),
+    "separable": ({"blocks": (_BLOCK_MONOTONES, _REQUIRED)},
+                  lambda s, dims, gamma: (blockwise_resolvent(
+                      [_build(_MONOTONES, b) for b in s["blocks"]], gamma),
+                      None)),
+})
+
+
+def _linear_forward(spec: Mapping, dims: BlockDims) -> CocoerciveOperator:
+    M = np.array(spec["matrix"])
+    if not np.allclose(M, M.T, atol=1e-12):
+        raise ConfigError("forward.matrix must be symmetric so its "
+                          "cocoercivity constant is 1/||matrix||")
+    offset = np.array(spec.get("offset", np.zeros(dims.total)))
+    if M.shape != (dims.total, dims.total):
+        raise ConfigError("forward.matrix must act on the full space")
+    if np.linalg.eigvalsh(M).min() < -1e-10:
+        raise ConfigError("forward.matrix must be positive semidefinite")
+    norm = spectral_norm_psd(M)
+    if norm <= 0:
+        raise ConfigError("forward.matrix must be nonzero; use forward type "
+                          "none instead")
+    return CocoerciveOperator(
+        dims, lambda v: BlockVector(dims, M @ v.flat + offset), 1.0 / norm)
+
+
+_FORWARDS = _Table("forward", "type", {
+    "linear": (_LINEAR, _linear_forward),
+    "coupling": (_COUPLED_SMOOTH, _coupling_gradient),
+    "none": ({}, lambda s, dims: None),
+})
+
+_SCHEMES = _Table("sweeping", "scheme", {
+    "single_block": ({"weights": (_float_list, _OMITTED)},
+                     lambda s, m: SweepingRule("single_block", m, weights=tuple(
+                         s.get("weights", [1.0] * m)))),
+    "independent_bernoulli": (
+        {"probabilities": (_float_list, _REQUIRED)},
+        lambda s, m: SweepingRule("independent_bernoulli", m,
+                                  probabilities=tuple(s["probabilities"]))),
+    "fixed_subset_size": ({"size": (_int, _REQUIRED)},
+                          lambda s, m: SweepingRule("fixed_subset_size", m,
+                                                    size=s["size"])),
+})
+
+_DECAY = {"scale": (_float, _REQUIRED), "decay": (_float, _REQUIRED)}
+_ERROR_MODELS = _Table("error", "kind", {
+    "none": ({}, lambda s: ErrorModel(**s)),
+    "deterministic_decay": (_DECAY, lambda s: ErrorModel(**s)),
+    "gaussian_decay": (_DECAY, lambda s: ErrorModel(**s)),
+})
+_ERRORS = {slot: (_spec_of(_ERROR_MODELS), _OMITTED) for slot in _ERROR_SLOTS}
+
+_SOLVER = {
+    "relaxation": (_schedule_node, 0.5),
+    "dr_relaxation": (_schedule_node, 1.0),
+    "stepsize": (_schedule_node, _OMITTED),
+    "gamma": (_float, 1.0),
+    "max_iterations": (_int, 100_000),
+    "tolerance": (_float, 1e-8),
+    "snapshot_stride": (_int, 10),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +550,9 @@ class RunConfig:
     """A fully validated run description in normalized plain data.
 
     Treat it as immutable after ``parse_config``: its run plan (operators,
-    problem set-up, bound checks and the seed-independent solver settings)
-    is built on first use and cached on the instance, and every
-    ``execute_run`` call and every seed reuses it.  The cache is not a
+    problem set-up, the driver's hypothesis check and the seed-independent
+    solver settings) is built on first use and cached on the instance, and
+    every ``execute_run`` call and every seed reuses it.  The cache is not a
     field, so equality and ``parse(serialize(rc))`` ignore it.
     """
 
@@ -455,20 +585,10 @@ class RunConfig:
     @cached_property
     def _plan(self) -> "_RunPlan":
         plan = _build_plan(self)
-        _validate_bounds(self, plan)
         plan.config = _build_solver_config(self, plan, self.seeds[0])
+        plan.check(plan.config)
         return plan
 
-
-_PROBLEM_KEYS = {
-    "km": ("kind", "dims", "operator"),
-    "averaged": ("kind", "dims", "operator"),
-    "double_layer": ("kind", "dims", "outer", "inner"),
-    "dr": ("kind", "dims", "blocks", "coupling"),
-    "pd_dr": ("kind", "dims", "functions", "duals", "grid"),
-    "fb": ("kind", "dims", "blocks", "forward"),
-    "fb_min": ("kind", "dims", "functions", "smooth", "grid"),
-}
 
 _INITIAL_KEYS = {
     "km": ("x0",),
@@ -481,265 +601,21 @@ _INITIAL_KEYS = {
 }
 
 
-def _norm_problem(node, context: str = "problem") -> dict:
-    node = _mapping(node, context)
-    kind = _get(node, "kind", context)
-    if kind not in _KINDS:
-        _fail(context, f"unknown kind {kind!r}; expected one of {_KINDS}")
-    _allow_keys(node, _PROBLEM_KEYS[kind], context)
-    dims = _int_list(_get(node, "dims", context), f"{context}.dims")
-    if not dims or any(d < 1 for d in dims):
-        _fail(f"{context}.dims", "block dimensions must be positive")
-    out: dict[str, Any] = {"kind": kind, "dims": dims}
-    if kind in ("km", "averaged"):
-        out["operator"] = _norm_operator(_get(node, "operator", context),
-                                         f"{context}.operator", dims)
-    elif kind == "double_layer":
-        out["outer"] = _norm_operator(_get(node, "outer", context),
-                                      f"{context}.outer", dims)
-        out["inner"] = _norm_operator(_get(node, "inner", context),
-                                      f"{context}.inner", dims)
-    elif kind == "dr":
-        blocks = _get(node, "blocks", context)
-        if not isinstance(blocks, Sequence) or len(blocks) != len(dims):
-            _fail(context, f"need {len(dims)} blockwise operators")
-        out["blocks"] = [_norm_monotone(b, f"{context}.blocks[{i}]")
-                         for i, b in enumerate(blocks)]
-        cpl = _mapping(_get(node, "coupling", context), f"{context}.coupling")
-        typ = _get(cpl, "type", f"{context}.coupling")
-        if typ == "linear":
-            _allow_keys(cpl, ("type", "matrix", "offset"),
-                        f"{context}.coupling")
-            out["coupling"] = {
-                "type": "linear",
-                "matrix": _matrix(_get(cpl, "matrix", context),
-                                  f"{context}.coupling.matrix"),
-            }
-            if "offset" in cpl:
-                out["coupling"]["offset"] = _float_list(
-                    cpl["offset"], f"{context}.coupling.offset")
-        elif typ == "separable":
-            _allow_keys(cpl, ("type", "blocks"), f"{context}.coupling")
-            cblocks = _get(cpl, "blocks", f"{context}.coupling")
-            if not isinstance(cblocks, Sequence) or len(cblocks) != len(dims):
-                _fail(f"{context}.coupling", f"need {len(dims)} blocks")
-            out["coupling"] = {
-                "type": "separable",
-                "blocks": [_norm_monotone(b, f"{context}.coupling.blocks[{i}]")
-                           for i, b in enumerate(cblocks)],
-            }
-        else:
-            _fail(f"{context}.coupling", f"unknown coupling type {typ!r}")
-    elif kind == "pd_dr":
-        fns = _get(node, "functions", context)
-        duals = _get(node, "duals", context)
-        if not isinstance(fns, Sequence) or len(fns) != len(dims):
-            _fail(context, f"need {len(dims)} primal functions")
-        out["functions"] = [_norm_monotone(f, f"{context}.functions[{i}]")
-                            for i, f in enumerate(fns)]
-        out["duals"] = [_norm_monotone(g, f"{context}.duals[{k}]")
-                        for k, g in enumerate(duals)]
-        out["grid"] = _norm_grid(_get(node, "grid", context),
-                                 f"{context}.grid")
-    elif kind == "fb":
-        blocks = _get(node, "blocks", context)
-        if not isinstance(blocks, Sequence) or len(blocks) != len(dims):
-            _fail(context, f"need {len(dims)} blockwise operators")
-        out["blocks"] = [_norm_monotone(b, f"{context}.blocks[{i}]")
-                         for i, b in enumerate(blocks)]
-        fwd = _mapping(_get(node, "forward", context), f"{context}.forward")
-        typ = _get(fwd, "type", f"{context}.forward")
-        if typ == "linear":
-            _allow_keys(fwd, ("type", "matrix", "offset"),
-                        f"{context}.forward")
-            out["forward"] = {
-                "type": "linear",
-                "matrix": _matrix(_get(fwd, "matrix", context),
-                                  f"{context}.forward.matrix"),
-            }
-            if "offset" in fwd:
-                out["forward"]["offset"] = _float_list(
-                    fwd["offset"], f"{context}.forward.offset")
-        elif typ == "coupling":
-            _allow_keys(fwd, ("type", "smooth", "grid"), f"{context}.forward")
-            out["forward"] = {
-                "type": "coupling",
-                "smooth": [_norm_smooth(s, f"{context}.forward.smooth[{k}]")
-                           for k, s in enumerate(_get(fwd, "smooth", context))],
-                "grid": _norm_grid(_get(fwd, "grid", context),
-                                   f"{context}.forward.grid"),
-            }
-        elif typ == "none":
-            _allow_keys(fwd, ("type",), f"{context}.forward")
-            out["forward"] = {"type": "none"}
-        else:
-            _fail(f"{context}.forward", f"unknown forward type {typ!r}")
-    else:  # fb_min
-        fns = _get(node, "functions", context)
-        if not isinstance(fns, Sequence) or len(fns) != len(dims):
-            _fail(context, f"need {len(dims)} functions")
-        out["functions"] = [_norm_function(f, f"{context}.functions[{i}]")
-                            for i, f in enumerate(fns)]
-        out["smooth"] = [_norm_smooth(s, f"{context}.smooth[{k}]")
-                         for k, s in enumerate(_get(node, "smooth", context))]
-        out["grid"] = _norm_grid(_get(node, "grid", context),
-                                 f"{context}.grid")
-    return out
-
-
-def _norm_solver(node, context: str = "solver") -> dict:
-    node = _mapping(node, context) if node is not None else {}
-    _allow_keys(node, ("relaxation", "dr_relaxation", "stepsize", "gamma",
-                       "max_iterations", "tolerance", "snapshot_stride"),
-                context)
-    out: dict[str, Any] = {}
-    out["relaxation"] = _schedule_node(node.get("relaxation", 0.5),
-                                       f"{context}.relaxation")
-    out["dr_relaxation"] = _schedule_node(node.get("dr_relaxation", 1.0),
-                                          f"{context}.dr_relaxation")
-    if "stepsize" in node:
-        out["stepsize"] = _schedule_node(node["stepsize"],
-                                         f"{context}.stepsize")
-    out["gamma"] = _float(node.get("gamma", 1.0), f"{context}.gamma")
-    out["max_iterations"] = _int(node.get("max_iterations", 100_000),
-                                 f"{context}.max_iterations")
-    out["tolerance"] = _float(node.get("tolerance", 1e-8),
-                              f"{context}.tolerance")
-    out["snapshot_stride"] = _int(node.get("snapshot_stride", 10),
-                                  f"{context}.snapshot_stride")
-    return out
-
-
-def _norm_sweeping(node, context: str = "sweeping") -> dict:
-    node = _mapping(node, context)
-    scheme = _get(node, "scheme", context)
-    if scheme == "single_block":
-        _allow_keys(node, ("scheme", "weights"), context)
-        out = {"scheme": "single_block"}
-        if "weights" in node:
-            out["weights"] = _float_list(node["weights"], f"{context}.weights")
-        return out
-    if scheme == "independent_bernoulli":
-        _allow_keys(node, ("scheme", "probabilities"), context)
-        return {"scheme": "independent_bernoulli",
-                "probabilities": _float_list(
-                    _get(node, "probabilities", context),
-                    f"{context}.probabilities")}
-    if scheme == "fixed_subset_size":
-        _allow_keys(node, ("scheme", "size"), context)
-        return {"scheme": "fixed_subset_size",
-                "size": _int(_get(node, "size", context), f"{context}.size")}
-    _fail(context, f"unknown scheme {scheme!r}")
-
-
-def _norm_errors(node, context: str = "errors") -> dict:
-    if node is None:
-        return {}
-    node = _mapping(node, context)
-    _allow_keys(node, _ERROR_SLOTS, context)
-    out = {}
-    for slot, spec in node.items():
-        spec = _mapping(spec, f"{context}.{slot}")
-        _allow_keys(spec, ("kind", "scale", "decay"), f"{context}.{slot}")
-        kind = _get(spec, "kind", f"{context}.{slot}")
-        if kind == "none":
-            out[slot] = {"kind": "none"}
-            continue
-        if kind not in ("deterministic_decay", "gaussian_decay"):
-            _fail(f"{context}.{slot}", f"unknown error kind {kind!r}")
-        out[slot] = {
-            "kind": kind,
-            "scale": _float(_get(spec, "scale", f"{context}.{slot}"),
-                            f"{context}.{slot}.scale"),
-            "decay": _float(_get(spec, "decay", f"{context}.{slot}"),
-                            f"{context}.{slot}.decay"),
-        }
-    return out
-
-
 # ---------------------------------------------------------------------------
-# builders from normalized data
+# run plans: one builder per problem kind, each calling a public driver
 # ---------------------------------------------------------------------------
-
-
-def _build_function(spec: Mapping) -> ProxFunction:
-    kind = spec["kind"]
-    if kind == "l1":
-        return L1Norm(spec["dim"], spec["weight"])
-    if kind == "sq_l2":
-        return SquaredDistance(np.array(spec["center"]), spec["weight"])
-    if kind == "indicator_box":
-        return BoxIndicator(np.array(spec["lo"]), np.array(spec["hi"]))
-    if kind == "indicator_ball":
-        return BallIndicator(np.array(spec["center"]), spec["radius"])
-    if kind == "quadratic":
-        return Quadratic(np.array(spec["matrix"]), np.array(spec["offset"]))
-    return Zero(spec["dim"])
-
-
-def _build_monotone(spec: Mapping) -> MonotoneOperator:
-    kind = spec["kind"]
-    if kind in _FUNCTION_KINDS:
-        return Subdifferential(_build_function(spec))
-    if kind == "linear_monotone":
-        M = np.array(spec["matrix"])
-        offset = np.array(spec["offset"]) if "offset" in spec else None
-        return LinearMonotone(M, offset)
-    return BoxNormalCone(np.array(spec["lo"]), np.array(spec["hi"]))
-
-
-def _build_smooth(spec: Mapping) -> SmoothTerm:
-    if spec["kind"] == "sq_l2":
-        return SmoothTerm.squared_distance(np.array(spec["center"]),
-                                           spec["weight"])
-    return SmoothTerm.quadratic(np.array(spec["matrix"]),
-                                np.array(spec["offset"]))
-
-
-def _build_grid(spec) -> LinearBlockOperator:
-    return LinearBlockOperator([[np.array(e) for e in row] for row in spec])
-
-
-def _build_operator(spec: Mapping, dims: BlockDims) -> BlockOperatorFamily:
-    typ = spec["type"]
-    if typ == "prox":
-        fns = [_build_function(f) for f in spec["functions"]]
-        fam = prox_family(fns, spec["gamma"])
-        if fam.dims != dims:
-            raise ConfigError("operator functions do not match problem dims")
-        return fam
-    if typ == "box_projection":
-        return box_projection_family(np.array(spec["lo"]),
-                                     np.array(spec["hi"]), dims)
-    if typ == "affine":
-        offset = np.array(spec["offset"]) if "offset" in spec else None
-        alpha = _build_schedule(spec["alpha"]) if "alpha" in spec else None
-        fixed = tuple(construct(dims, fp) for fp in spec.get("fixed_points", []))
-        return affine_family(dims, np.array(spec["matrix"]), offset,
-                             spec["regularity"], alpha, fixed)
-    if typ == "identity":
-        return affine_family(dims, np.eye(dims.total), None, "averaged", 1e-9)
-    if typ == "constant":
-        return constant_family(construct(dims, spec["value"]))
-    # forward_step
-    grid = _build_grid(spec["grid"])
-    if grid.source_dims != dims:
-        raise ConfigError("forward_step grid does not match problem dims")
-    smooth = [_build_smooth(s) for s in spec["smooth"]]
-    B = coupling_forward_operator(grid, smooth)
-    return forward_step_family(B, _build_schedule(spec["stepsize"]), dims)
 
 
 class _RunPlan:
     """Everything needed to run and to compute a reference solution."""
 
-    def __init__(self, kind: str, mask_blocks: int, runner, problem,
-                 dims: BlockDims):
-        self.kind = kind
+    def __init__(self, mask_blocks: int, problem, dims: BlockDims, runner,
+                 check):
         self.mask_blocks = mask_blocks
-        self.runner = runner  # (SolverConfig) -> (IterateTrace, solution|None)
         self.problem = problem
         self.dims = dims
+        self.runner = runner  # (SolverConfig) -> (IterateTrace, solution|None)
+        self.check = check  # (SolverConfig) -> None, the driver's own check
         # the solver settings of the first seed; a run replaces the seed
         self.config: SolverConfig | None = None
 
@@ -750,172 +626,122 @@ def _initial(rc: RunConfig, key: str, dims: BlockDims) -> BlockVector:
     return construct(dims)
 
 
-def _build_plan(rc: RunConfig) -> _RunPlan:
-    prob = rc.problem
-    kind = prob["kind"]
-    dims = BlockDims(prob["dims"])
-    gamma = rc.solver["gamma"]
-    if kind in ("km", "averaged"):
-        family = _build_operator(prob["operator"], dims)
-        if kind == "averaged" and family.regularity != "averaged":
-            raise ConfigError(
-                "averaged driver needs an averaged operator (prox, identity, "
-                "or affine with an alpha)")
-        x0 = _initial(rc, "x0", dims)
-        problem = KmProblem(family, x0)
-        return _RunPlan(
-            kind, dims.m,
-            lambda scfg: (run_single_layer(family, scfg, x0), None),
-            problem, dims,
-        )
-    if kind == "double_layer":
-        outer = _build_operator(prob["outer"], dims)
-        inner = _build_operator(prob["inner"], dims)
-        for name, fam in (("outer", outer), ("inner", inner)):
-            if fam.regularity != "averaged":
-                raise ParameterError(
-                    f"double-layer driver needs an averaged {name} operator")
-            a = fam.averaging
-            ahi = a.bounds()[1] if hasattr(a, "bounds") else float(a)
-            if ahi >= 1:
-                raise ParameterError(
-                    f"double-layer driver requires sup of the {name} "
-                    f"averaging constants < 1, got {ahi}")
-        x0 = _initial(rc, "x0", dims)
-
-        def composed(n, x):
-            return outer.evaluate(n, inner.evaluate(n, x))
-
-        problem = KmProblem(
-            BlockOperatorFamily(dims, composed, "nonexpansive"), x0
-        )
-        return _RunPlan(
-            kind, dims.m,
-            lambda scfg: (run_double_layer(outer, inner, scfg, x0), None),
-            problem, dims,
-        )
-    if kind == "dr":
-        A = tuple(_build_monotone(b) for b in prob["blocks"])
-        cpl = prob["coupling"]
-        if cpl["type"] == "linear":
-            M = np.array(cpl["matrix"])
-            offset = np.array(cpl["offset"]) if "offset" in cpl else None
-            op = LinearMonotone(M, offset)
-            if op.dim != dims.total:
-                raise ConfigError("coupling matrix must act on the full space")
-            jb = lambda v: BlockVector(dims, op.resolvent(v.flat, gamma))
-            sym = 0.5 * (M + M.T)
-            norm = spectral_norm_psd(sym)
-            theta = 1.0 / norm if norm > 0 else 1.0
-            b_forward = CocoerciveOperator(
-                dims, lambda v: BlockVector(dims, op.apply(v.flat)), theta
-            )
-        else:
-            ops = [_build_monotone(b) for b in cpl["blocks"]]
-            jb = blockwise_resolvent(ops, gamma)
-            b_forward = None
-        x0 = _initial(rc, "x0", dims)
-        z0 = _initial(rc, "z0", dims)
-        problem = DrProblem(A, jb, gamma, dims, b_forward)
-        return _RunPlan(
-            kind, dims.m,
-            lambda scfg: _solve_dr(problem.resolvents, jb, gamma, scfg, x0,
-                                   z0, check_resolvent=False),
-            problem, dims,
-        )
-    if kind == "pd_dr":
-        grid = _build_grid(prob["grid"])
-        primal = [_build_monotone(f) for f in prob["functions"]]
-        dual = [_build_monotone(g) for g in prob["duals"]]
-        problem = assemble_pd_problem(primal, dual, grid)
-        if problem.h_dims != dims:
-            raise ConfigError("grid columns do not match problem dims")
-        x0 = _initial(rc, "x0", dims)
-        z0 = _initial(rc, "z0", dims)
-        y0 = (construct(problem.g_dims, rc.initial["y0"])
-              if "y0" in rc.initial else None)
-        w0 = (construct(problem.g_dims, rc.initial["w0"])
-              if "w0" in rc.initial else None)
-        return _RunPlan(
-            kind, problem.k_dims.m,
-            lambda scfg: run_pd_dr(problem, gamma, scfg, x0, z0, y0, w0),
-            problem, dims,
-        )
-    if kind == "fb":
-        A = tuple(_build_monotone(b) for b in prob["blocks"])
-        fwd = prob["forward"]
-        if fwd["type"] == "linear":
-            M = np.array(fwd["matrix"])
-            if not np.allclose(M, M.T, atol=1e-12):
-                raise ConfigError(
-                    "forward.matrix must be symmetric so its cocoercivity "
-                    "constant is 1/||matrix||")
-            offset = (np.array(fwd["offset"]) if "offset" in fwd
-                      else np.zeros(dims.total))
-            if M.shape != (dims.total, dims.total):
-                raise ConfigError("forward.matrix must act on the full space")
-            if np.linalg.eigvalsh(M).min() < -1e-10:
-                raise ConfigError("forward.matrix must be positive "
-                                  "semidefinite")
-            norm = spectral_norm_psd(M)
-            if norm <= 0:
-                raise ConfigError("forward.matrix must be nonzero; use "
-                                  "forward type none instead")
-            B = CocoerciveOperator(
-                dims, lambda v: BlockVector(dims, M @ v.flat + offset),
-                1.0 / norm)
-        elif fwd["type"] == "coupling":
-            grid = _build_grid(fwd["grid"])
-            if grid.source_dims != dims:
-                raise ConfigError("forward grid does not match problem dims")
-            B = coupling_forward_operator(
-                grid, [_build_smooth(s) for s in fwd["smooth"]])
-        else:
-            B = None
-        x0 = _initial(rc, "x0", dims)
-        problem = FbProblem(A, B, dims)
-        return _RunPlan(
-            kind, dims.m,
-            lambda scfg: (_solve_fb(problem.resolvents, B, scfg, x0,
-                                    objective_fn=None,
-                                    check_cocoercivity=False), None),
-            problem, dims,
-        )
-    # fb_min
-    grid = _build_grid(prob["grid"])
-    if grid.source_dims != dims:
-        raise ConfigError("grid columns do not match problem dims")
-    fs = tuple(_build_function(f) for f in prob["functions"])
-    smooth = tuple(_build_smooth(s) for s in prob["smooth"])
-    problem = CoupledMinProblem(fs, smooth, grid)
+def _plan_km(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
+    family = _build(_OPERATORS, prob["operator"], dims)
+    if prob["kind"] == "averaged" and family.regularity != "averaged":
+        raise ConfigError(
+            "averaged driver needs an averaged operator (prox, identity, "
+            "or affine with an alpha)")
     x0 = _initial(rc, "x0", dims)
     return _RunPlan(
-        "fb_min", dims.m,
-        lambda scfg: (_solve_fb_min(problem, scfg, x0), None),
-        problem, dims,
+        dims.m, KmProblem(family, x0), dims,
+        lambda scfg: (run_single_layer(family, scfg, x0), None),
+        lambda scfg: _check_single_layer(family, scfg),
     )
 
 
+def _plan_double_layer(prob: Mapping, rc: RunConfig,
+                       dims: BlockDims) -> _RunPlan:
+    outer = _build(_OPERATORS, prob["outer"], dims)
+    inner = _build(_OPERATORS, prob["inner"], dims)
+    x0 = _initial(rc, "x0", dims)
+
+    def composed(n, x):
+        return outer.evaluate(n, inner.evaluate(n, x))
+
+    return _RunPlan(
+        dims.m,
+        KmProblem(BlockOperatorFamily(dims, composed, "nonexpansive"), x0),
+        dims,
+        lambda scfg: (run_double_layer(outer, inner, scfg, x0), None),
+        lambda scfg: _check_double_layer(outer, inner, scfg),
+    )
+
+
+def _plan_dr(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
+    gamma = rc.solver["gamma"]
+    A = tuple(_build(_MONOTONES, b) for b in prob["blocks"])
+    jb, b_forward = _build(_COUPLINGS, prob["coupling"], dims, gamma)
+    problem = DrProblem(A, jb, gamma, dims, b_forward)
+    x0, z0 = _initial(rc, "x0", dims), _initial(rc, "z0", dims)
+    return _RunPlan(
+        dims.m, problem, dims,
+        lambda scfg: run_dr(problem.resolvents, jb, gamma, scfg, x0, z0,
+                            check_resolvent=False),
+        lambda scfg: _check_splitting(gamma, scfg),
+    )
+
+
+def _plan_pd_dr(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
+    gamma = rc.solver["gamma"]
+    grid = _grid_on(prob, dims)
+    problem = assemble_pd_problem(
+        [_build(_MONOTONES, f) for f in prob["functions"]],
+        [_build(_MONOTONES, g) for g in prob["duals"]], grid)
+    x0, z0 = _initial(rc, "x0", dims), _initial(rc, "z0", dims)
+    y0, w0 = (construct(problem.g_dims, rc.initial[key])
+              if key in rc.initial else None for key in ("y0", "w0"))
+    return _RunPlan(
+        problem.k_dims.m, problem, dims,
+        lambda scfg: run_pd_dr(problem, gamma, scfg, x0, z0, y0, w0),
+        lambda scfg: _check_splitting(gamma, scfg),
+    )
+
+
+def _plan_fb(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
+    A = tuple(_build(_MONOTONES, b) for b in prob["blocks"])
+    B = _build(_FORWARDS, prob["forward"], dims)
+    problem = FbProblem(A, B, dims)
+    x0 = _initial(rc, "x0", dims)
+    return _RunPlan(
+        dims.m, problem, dims,
+        lambda scfg: (run_fb(problem.resolvents, B, scfg, x0,
+                             check_cocoercivity=False), None),
+        lambda scfg: _check_forward_backward(B, scfg),
+    )
+
+
+def _plan_fb_min(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
+    grid = _grid_on(prob, dims)
+    problem = CoupledMinProblem(
+        tuple(_build(_FUNCTIONS, f) for f in prob["functions"]),
+        tuple(_build(_SMOOTHS, s) for s in prob["smooth"]), grid)
+    x0 = _initial(rc, "x0", dims)
+    return _RunPlan(
+        dims.m, problem, dims,
+        lambda scfg: (run_fb(problem.resolvents, problem.forward(), scfg, x0,
+                             problem.objective, check_cocoercivity=False),
+                      None),
+        lambda scfg: _check_forward_backward(problem.forward(), scfg),
+    )
+
+
+_DIMS = {"dims": (_dims, _REQUIRED)}
+_OPERATOR = (_spec_of(_OPERATORS), _REQUIRED)
+
+_PROBLEMS = _Table("problem", "kind", {
+    "km": ({**_DIMS, "operator": _OPERATOR}, _plan_km),
+    "averaged": ({**_DIMS, "operator": _OPERATOR}, _plan_km),
+    "double_layer": ({**_DIMS, "outer": _OPERATOR, "inner": _OPERATOR},
+                     _plan_double_layer),
+    "dr": ({**_DIMS, "blocks": (_BLOCK_MONOTONES, _REQUIRED),
+            "coupling": (_spec_of(_COUPLINGS), _REQUIRED)}, _plan_dr),
+    "pd_dr": ({**_DIMS, "functions": (_BLOCK_MONOTONES, _REQUIRED),
+               "duals": (_list_of(_spec_of(_MONOTONES)), _REQUIRED),
+               "grid": (_grid, _REQUIRED)}, _plan_pd_dr),
+    "fb": ({**_DIMS, "blocks": (_BLOCK_MONOTONES, _REQUIRED),
+            "forward": (_spec_of(_FORWARDS), _REQUIRED)}, _plan_fb),
+    "fb_min": ({**_DIMS, "functions": (_BLOCK_FUNCTIONS, _REQUIRED),
+                **_COUPLED_SMOOTH}, _plan_fb_min),
+})
+
+
+def _build_plan(rc: RunConfig) -> _RunPlan:
+    return _build(_PROBLEMS, rc.problem, rc, BlockDims(rc.problem["dims"]))
+
+
 def _build_sweeping(rc: RunConfig, mask_blocks: int) -> SweepingRule:
-    node = rc.sweeping
-    if node["scheme"] == "single_block":
-        return SweepingRule("single_block", mask_blocks,
-                            weights=tuple(node.get(
-                                "weights", [1.0] * mask_blocks)))
-    if node["scheme"] == "independent_bernoulli":
-        return SweepingRule("independent_bernoulli", mask_blocks,
-                            probabilities=tuple(node["probabilities"]))
-    return SweepingRule("fixed_subset_size", mask_blocks, size=node["size"])
-
-
-def _build_errors(rc: RunConfig) -> dict[str, ErrorModel]:
-    out = {}
-    for slot, spec in rc.errors.items():
-        if spec["kind"] == "none":
-            out[slot] = ErrorModel("none")
-        else:
-            out[slot] = ErrorModel(spec["kind"], spec["scale"], spec["decay"])
-    return out
+    return _build(_SCHEMES, rc.sweeping, mask_blocks)
 
 
 def _build_solver_config(rc: RunConfig, plan: _RunPlan,
@@ -934,66 +760,11 @@ def _build_solver_config(rc: RunConfig, plan: _RunPlan,
         max_iterations=solver["max_iterations"],
         tolerance=solver["tolerance"],
         seed=seed,
-        errors=_build_errors(rc),
+        errors={slot: _build(_ERROR_MODELS, spec)
+                for slot, spec in rc.errors.items()},
         reference=reference,
         snapshot_stride=solver["snapshot_stride"],
     )
-
-
-def _validate_bounds(rc: RunConfig, plan: _RunPlan) -> None:
-    """Enforce every driver hypothesis before any run starts."""
-    kind = plan.kind
-    lam = _build_schedule(rc.solver["relaxation"])
-    lo, hi = lam.bounds()
-    if kind in ("km", "averaged"):
-        fam = plan.problem.family
-        if fam.regularity == "averaged":
-            a = fam.averaging
-            alo, ahi = (a.bounds() if hasattr(a, "bounds")
-                        else (float(a), float(a)))
-            corners = [alo * lo, alo * hi, ahi * lo, ahi * hi]
-            if min(corners) <= 0 or max(corners) >= 1:
-                raise ConfigError(
-                    "averaged driver requires alpha_n * lambda_n inside "
-                    f"]0, 1[, got bounds [{min(corners)}, {max(corners)}]")
-        else:
-            if lo <= 0:
-                raise ConfigError("single-layer driver requires "
-                                  "inf lambda_n > 0")
-            if hi >= 1:
-                raise ConfigError(f"sup lambda_n < 1 required by the "
-                                  f"single-layer driver, got {hi}")
-    if kind in ("double_layer", "fb", "fb_min"):
-        if lo <= 0 or hi > 1:
-            raise ConfigError("lambda_n must be a sequence in ]0, 1] with "
-                              f"inf lambda_n > 0, got bounds [{lo}, {hi}]")
-    if kind in ("dr", "pd_dr"):
-        mu = _build_schedule(rc.solver["dr_relaxation"])
-        mlo, mhi = mu.bounds()
-        if mlo <= 0 or mhi >= 2:
-            raise ConfigError(
-                "mu_n must be a sequence in ]0, 2[ with inf mu_n > 0 and "
-                f"sup mu_n < 2, got bounds [{mlo}, {mhi}]")
-        if rc.solver["gamma"] <= 0:
-            raise ConfigError("gamma must be > 0")
-    if kind in ("fb", "fb_min"):
-        if "stepsize" not in rc.solver:
-            raise ConfigError("forward-backward needs solver.stepsize")
-        gam = _build_schedule(rc.solver["stepsize"])
-        glo, ghi = gam.bounds()
-        if kind == "fb":
-            B = plan.problem.B
-        else:
-            B = plan.problem.forward()
-        if B is None:
-            if glo <= 0:
-                raise ConfigError("gamma_n must satisfy inf gamma_n > 0")
-        else:
-            two_theta = 2.0 * B.theta
-            if glo <= 0 or ghi >= two_theta:
-                raise ConfigError(
-                    f"gamma_n must be a sequence in ]0, 2*theta[ = "
-                    f"]0, {two_theta}[, got bounds [{glo}, {ghi}]")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -1007,31 +778,30 @@ def parse_config(text: str) -> RunConfig:
     doc = _mapping(doc, "config")
     _allow_keys(doc, ("problem", "solver", "sweeping", "errors", "seeds",
                       "initial", "reference", "output"), "config")
-    problem = _norm_problem(_get(doc, "problem", "config"))
-    solver = _norm_solver(doc.get("solver"))
-    sweeping = _norm_sweeping(_get(doc, "sweeping", "config"))
-    errors = _norm_errors(doc.get("errors"))
+    problem = _spec(_get(doc, "problem", "config"), "problem", _PROBLEMS)
+    dims = problem["dims"]
+    solver = _walk({} if doc.get("solver") is None else doc["solver"],
+                   "solver", _SOLVER)
+    sweeping = _spec(_get(doc, "sweeping", "config"), "sweeping", _SCHEMES)
+    errors = ({} if doc.get("errors") is None
+              else _walk(doc["errors"], "errors", _ERRORS))
     seeds = tuple(_int_list(doc.get("seeds", [0]), "seeds"))
     if not seeds:
         _fail("seeds", "need at least one seed")
     initial = {}
-    if "initial" in doc and doc["initial"] is not None:
+    if doc.get("initial") is not None:
         init = _mapping(doc["initial"], "initial")
         _allow_keys(init, _INITIAL_KEYS[problem["kind"]], "initial")
-        dims = problem["dims"]
-        for key, value in init.items():
-            if key in ("y0", "w0"):
-                # image-block dims: the row count of any matrix in grid row k
-                gdims = [len(row[0]) for row in problem["grid"]]
-                initial[key] = _blocks_value(value, gdims, f"initial.{key}")
-            else:
-                initial[key] = _blocks_value(value, dims, f"initial.{key}")
+        # y0 and w0 live on the image blocks: the row counts of grid row k
+        gdims = [len(row[0]) for row in problem.get("grid", ())]
+        initial = {key: _blocks_value(value, f"initial.{key}",
+                                      gdims if key in ("y0", "w0") else dims)
+                   for key, value in init.items()}
     reference = None
-    if "reference" in doc and doc["reference"] is not None:
-        reference = _blocks_value(doc["reference"], problem["dims"],
-                                  "reference")
+    if doc.get("reference") is not None:
+        reference = _blocks_value(doc["reference"], "reference", dims)
     output_directory = None
-    if "output" in doc and doc["output"] is not None:
+    if doc.get("output") is not None:
         out = _mapping(doc["output"], "output")
         _allow_keys(out, ("directory",), "output")
         if "directory" in out:
@@ -1039,7 +809,7 @@ def parse_config(text: str) -> RunConfig:
     rc = RunConfig(problem, solver, sweeping, errors, seeds, initial,
                    reference, output_directory)
     try:
-        rc._plan  # built and bound-checked once, then reused by every run
+        rc._plan  # built and checked by its driver once, reused by every run
     except (ParameterError, InvalidRuleError, ShapeError) as exc:
         raise ConfigError(str(exc)) from exc
     return rc
@@ -1099,11 +869,11 @@ def execute_run(
     its own ``SolverConfig`` from the cached one and runs the driver.
 
     Exit status: 0 when every seed stopped at tolerance, 2 when some seed
-    exhausted its budget, 1 on configuration or I/O errors or when some seed
-    raised.  A seed that raises is recorded as ``"<Type>: <message>"`` under
-    its ``error`` key in the report (with the traceback on stderr for
-    exceptions from outside blocksweep); the other seeds' traces and the
-    report are still written.
+    exhausted its budget, 1 on configuration or I/O errors, on an empty
+    seed list or when some seed raised.  A seed that raises is recorded as
+    ``"<Type>: <message>"`` under its ``error`` key in the report (with the
+    traceback on stderr for exceptions from outside blocksweep); the other
+    seeds' traces and the report are still written.
     """
     try:
         plan = rc._plan
@@ -1113,6 +883,9 @@ def execute_run(
     directory = (out_dir or os.environ.get("BLOCKSWEEP_OUT")
                  or rc.output_directory or ".")
     seeds = list(seeds if seeds is not None else rc.seeds)
+    if not seeds:
+        print("error: need at least one seed", file=sys.stderr)
+        return 1
     try:
         os.makedirs(directory, exist_ok=True)
     except OSError as exc:
@@ -1220,7 +993,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     run_p = sub.add_parser("run", help="run all seeds and write artifacts")
     run_p.add_argument("config")
-    run_p.add_argument("--seeds", help="comma-separated seed override")
+    run_p.add_argument("--seeds", help="comma-separated seed override "
+                       "(at least one seed)")
     run_p.add_argument("--out", help="output directory override")
     run_p.add_argument("--max-iter", type=int, dest="max_iter")
     run_p.add_argument("--tol", type=float)
@@ -1259,7 +1033,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     # run
     seeds = None
-    if args.seeds:
+    if args.seeds is not None:
         try:
             seeds = [int(s) for s in args.seeds.split(",") if s]
         except ValueError:

@@ -34,7 +34,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .blockspace import (
-    ActivationMask,
     BlockDims,
     BlockVector,
     combine,
@@ -378,6 +377,13 @@ def _check_slots(cfg: SolverConfig, allowed: tuple[str, ...],
         )
 
 
+def _check_relaxation(cfg: SolverConfig, driver: str) -> None:
+    lo, hi = cfg.relaxation.bounds()
+    _require(lo > 0 and hi <= 1,
+             f"{driver} requires lambda_n in ]0, 1] with inf lambda_n > 0, "
+             f"got bounds [{lo}, {hi}]")
+
+
 def _check_rule(rule: SweepingRule, m: int, context: str) -> None:
     if rule.m != m:
         raise ShapeError(
@@ -478,17 +484,26 @@ def run_single_layer(
     every ``T_i`` evaluated at the full pre-update iterate.  Stops when the
     full fixed point residual ``||T_n(x) - x||`` falls below the tolerance.
 
-    For plain families the relaxations must satisfy ``inf lambda_n > 0`` and
-    ``sup lambda_n < 1``.  Averaged families with constant ``alpha_n`` widen
-    the admissible range to relaxations with ``alpha_n * lambda_n`` bounded
-    inside ]0, 1[; the update itself is unchanged.
+    For plain families the relaxations must be bounded inside ]0, 1[.
+    Averaged families with constant ``alpha_n`` widen the admissible range
+    to relaxations with ``alpha_n * lambda_n`` bounded inside ]0, 1[; the
+    update itself is unchanged.
     """
     if x0.dims != T.dims:
         raise ShapeError("starting point does not match the operator family")
     _check_rule(cfg.sweeping, T.dims.m, "single-layer driver")
     _check_slots(cfg, ("a",), "single-layer driver")
-    lam = cfg.relaxation
-    lo, hi = lam.bounds()
+    _check_single_layer(T, cfg)
+    sampler_a = _error_sampler(cfg, "a", T.dims)
+    return _km_engine(
+        T.evaluate, cfg.relaxation, cfg, x0, sampler_a,
+        _distance_to(cfg.reference), None, None,
+    )
+
+
+def _check_single_layer(T: BlockOperatorFamily, cfg: SolverConfig) -> None:
+    """The bounds of ``run_single_layer``, also checked at config parse."""
+    lo, hi = cfg.relaxation.bounds()
     if T.regularity == "averaged":
         alo, ahi = _bounds_of(T.averaging)
         corners = [alo * lo, alo * hi, ahi * lo, ahi * hi]
@@ -501,11 +516,6 @@ def run_single_layer(
         _require(lo > 0, "single-layer driver requires inf lambda_n > 0")
         _require(hi < 1, f"sup lambda_n < 1 required by the single-layer "
                          f"driver, got {hi}")
-    sampler_a = _error_sampler(cfg, "a", T.dims)
-    return _km_engine(
-        T.evaluate, lam, cfg, x0, sampler_a,
-        _distance_to(cfg.reference), None, None,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -537,18 +547,7 @@ def run_double_layer(
         raise ShapeError("starting point does not match the operator families")
     _check_rule(cfg.sweeping, T.dims.m, "double-layer driver")
     _check_slots(cfg, ("a", "b"), "double-layer driver")
-    _require(T.regularity == "averaged",
-             "double-layer driver needs an averaged outer family")
-    _require(R.regularity == "averaged",
-             "double-layer driver needs an averaged inner family")
-    _require(_bounds_of(T.averaging)[1] < 1,
-             "double-layer driver requires sup alpha_n < 1")
-    _require(_bounds_of(R.averaging)[1] < 1,
-             "double-layer driver requires sup beta_n < 1")
-    lo, hi = cfg.relaxation.bounds()
-    _require(lo > 0 and hi <= 1,
-             "double-layer driver requires lambda_n in ]0, 1] with "
-             f"inf lambda_n > 0, got bounds [{lo}, {hi}]")
+    _check_double_layer(T, R, cfg)
     sampler_a = _error_sampler(cfg, "a", T.dims)
     sampler_b = inner_error_sampler
     if sampler_b is None:
@@ -564,6 +563,20 @@ def run_double_layer(
         target_fn, cfg.relaxation, cfg, x0, sampler_a,
         _distance_to(cfg.reference), objective_fn, stepsize_for_trace,
     )
+
+
+def _check_double_layer(T: BlockOperatorFamily, R: BlockOperatorFamily,
+                        cfg: SolverConfig) -> None:
+    """The bounds of ``run_double_layer``, also checked at config parse."""
+    _require(T.regularity == "averaged",
+             "double-layer driver needs an averaged outer family")
+    _require(R.regularity == "averaged",
+             "double-layer driver needs an averaged inner family")
+    _require(_bounds_of(T.averaging)[1] < 1,
+             "double-layer driver requires sup alpha_n < 1")
+    _require(_bounds_of(R.averaging)[1] < 1,
+             "double-layer driver requires sup beta_n < 1")
+    _check_relaxation(cfg, "double-layer driver")
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +656,7 @@ def _dr_engine(
 
 
 def run_dr(
-    A: Sequence[MonotoneOperator],
+    A: Sequence[MonotoneOperator] | SeparableSweep,
     JB: Callable[[BlockVector], BlockVector],
     gamma: float,
     cfg: SolverConfig,
@@ -661,36 +674,22 @@ def run_dr(
 
     Returns the trace of the governing sequence together with the primal
     point ``z = JB(x_final)`` and the dual point ``(x_final - z) / gamma``.
+    ``A`` may also be the resolvent ``SeparableSweep`` of the operators
+    (``DrProblem.resolvents``); it is then used as is.
     """
-    return _solve_dr(SeparableSweep(A, "resolvent"), JB, gamma, cfg, x0, z0,
-                     check_resolvent)
-
-
-def _solve_dr(
-    resolvents: SeparableSweep,
-    JB: Callable[[BlockVector], BlockVector],
-    gamma: float,
-    cfg: SolverConfig,
-    x0: BlockVector,
-    z0: BlockVector | None,
-    check_resolvent: bool,
-) -> tuple[IterateTrace, PrimalDualSolution]:
-    """``run_dr`` given the resolvent sweep of the ``A_i`` (see ``DrProblem``)."""
     dims = x0.dims
-    A = resolvents.terms
-    if len(A) != dims.m:
-        raise ShapeError(f"need {dims.m} blockwise operators, got {len(A)}")
-    for i, op in enumerate(A):
+    if not isinstance(A, SeparableSweep):
+        A = SeparableSweep(A, "resolvent")
+    if len(A.terms) != dims.m:
+        raise ShapeError(f"need {dims.m} blockwise operators, got "
+                         f"{len(A.terms)}")
+    for i, op in enumerate(A.terms):
         if op.dim != dims.dims[i]:
             raise ShapeError(f"operator {i} has dim {op.dim}, expected "
                              f"{dims.dims[i]}")
     _check_rule(cfg.sweeping, dims.m, "splitting driver")
     _check_slots(cfg, ("a", "b"), "splitting driver")
-    _require(gamma > 0, "gamma must be > 0")
-    lo, hi = cfg.dr_relaxation.bounds()
-    _require(lo > 0 and hi < 2,
-             f"mu_n must lie in ]0, 2[ with inf mu_n > 0 and sup mu_n < 2, "
-             f"got bounds [{lo}, {hi}]")
+    _check_splitting(gamma, cfg)
     if z0 is None:
         z0 = construct(dims)
     if z0.dims != dims:
@@ -698,7 +697,7 @@ def _solve_dr(
     if check_resolvent:
         _spot_check_resolvent(JB, dims)
     trace, _ = _dr_engine(
-        resolvents, JB, gamma, cfg, x0, z0,
+        A, JB, gamma, cfg, x0, z0,
         _error_sampler(cfg, "a", dims),
         _error_sampler(cfg, "b", dims),
         _distance_to(cfg.reference),
@@ -706,6 +705,15 @@ def _solve_dr(
     z = JB(trace.final)
     u = combine(1.0 / gamma, trace.final, -1.0 / gamma, z)
     return trace, PrimalDualSolution(primal=z, dual=u)
+
+
+def _check_splitting(gamma: float, cfg: SolverConfig) -> None:
+    """The bounds of ``run_dr`` and ``run_pd_dr``, also checked at parse."""
+    _require(gamma > 0, "gamma must be > 0")
+    lo, hi = cfg.dr_relaxation.bounds()
+    _require(lo > 0 and hi < 2,
+             f"mu_n must lie in ]0, 2[ with inf mu_n > 0 and sup mu_n < 2, "
+             f"got bounds [{lo}, {hi}]")
 
 
 # ---------------------------------------------------------------------------
@@ -798,11 +806,7 @@ def run_pd_dr(
         raise ShapeError("shadow states must match the primal/image blocks")
     _check_rule(cfg.sweeping, k.m, "primal-dual driver")
     _check_slots(cfg, ("a", "b", "c", "d"), "primal-dual driver")
-    _require(gamma > 0, "gamma must be > 0")
-    lo, hi = cfg.dr_relaxation.bounds()
-    _require(lo > 0 and hi < 2,
-             f"mu_n must lie in ]0, 2[ with inf mu_n > 0 and sup mu_n < 2, "
-             f"got bounds [{lo}, {hi}]")
+    _check_splitting(gamma, cfg)
 
     V = problem.V
 
@@ -856,7 +860,7 @@ def _spot_check_cocoercive(
 
 
 def run_fb(
-    A: Sequence[MonotoneOperator],
+    A: Sequence[MonotoneOperator] | SeparableSweep,
     B: CocoerciveOperator | None,
     cfg: SolverConfig,
     x0: BlockVector,
@@ -867,48 +871,28 @@ def run_fb(
 
     Active blocks follow
     ``x_i <- x_i + lambda_n (J_{gamma_n A_i}(x_i - gamma_n (B_i(x) + c_i))
-    + a_i - x_i)``.  Stepsizes must stay inside ]0, 2*theta[ for the
-    cocoercivity constant theta of ``B`` (checked on a sample of pairs), and
-    relaxations inside ]0, 1] bounded away from zero.  Runs as two averaged
-    layers: the backward layer is the blockwise resolvent and the forward
-    layer is ``x - gamma_n B x``.
+    + a_i - x_i)``.  Stepsizes must stay below twice the cocoercivity
+    constant theta of ``B`` (checked on a sample of pairs), and relaxations
+    inside ]0, 1] bounded away from zero.  Runs as two averaged layers: the
+    backward layer is the blockwise resolvent and the forward layer is
+    ``x - gamma_n B x``.  ``A`` may also be the resolvent ``SeparableSweep``
+    of the operators (``FbProblem.resolvents``); it is then used as is.
     """
-    return _solve_fb(SeparableSweep(A, "resolvent"), B, cfg, x0, objective_fn,
-                     check_cocoercivity)
-
-
-def _solve_fb(
-    resolvents: SeparableSweep,
-    B: CocoerciveOperator | None,
-    cfg: SolverConfig,
-    x0: BlockVector,
-    objective_fn: Callable[[BlockVector], float] | None,
-    check_cocoercivity: bool,
-) -> IterateTrace:
-    """``run_fb`` given the resolvent sweep of the ``A_i`` (see ``FbProblem``)."""
     dims = x0.dims
-    if len(resolvents.terms) != dims.m:
+    if not isinstance(A, SeparableSweep):
+        A = SeparableSweep(A, "resolvent")
+    if len(A.terms) != dims.m:
         raise ShapeError(f"need {dims.m} blockwise operators, got "
-                         f"{len(resolvents.terms)}")
+                         f"{len(A.terms)}")
     _check_slots(cfg, ("a", "c"), "forward-backward driver")
+    _check_forward_backward(B, cfg)
     gamma = cfg.stepsize
-    if gamma is None:
-        raise ParameterError("forward-backward needs a stepsize schedule")
-    lo, hi = gamma.bounds()
     if B is not None:
-        two_theta = 2.0 * B.theta
-        _require(
-            lo > 0 and hi < two_theta,
-            f"gamma_n must be a sequence in ]0, 2*theta[ = ]0, {two_theta}[ "
-            f"with inf > 0 and sup < 2*theta, got bounds [{lo}, {hi}]",
-        )
         if B.dims != dims:
             raise ShapeError("forward operator dims do not match the iterate")
         if check_cocoercivity:
             _spot_check_cocoercive(B)
-    else:
-        _require(lo > 0, "gamma_n must satisfy inf gamma_n > 0")
-    T = resolvent_family(resolvents, gamma)
+    T = resolvent_family(A, gamma)
     if T.dims != dims:
         raise ShapeError("blockwise operators do not match the iterate dims")
     R = forward_step_family(B, gamma, dims)
@@ -930,6 +914,25 @@ def _solve_fb(
     )
 
 
+def _check_forward_backward(B: CocoerciveOperator | None,
+                            cfg: SolverConfig) -> None:
+    """The bounds of ``run_fb``, also checked at config parse."""
+    gamma = cfg.stepsize
+    if gamma is None:
+        raise ParameterError("forward-backward needs a stepsize schedule")
+    lo, hi = gamma.bounds()
+    if B is not None:
+        two_theta = 2.0 * B.theta
+        _require(
+            lo > 0 and hi < two_theta,
+            f"gamma_n must be a sequence in ]0, 2*theta[ = ]0, {two_theta}[ "
+            f"with inf > 0 and sup < 2*theta, got bounds [{lo}, {hi}]",
+        )
+    else:
+        _require(lo > 0, "gamma_n must satisfy inf gamma_n > 0")
+    _check_relaxation(cfg, "forward-backward driver")
+
+
 def run_fb_min(
     fs: Sequence[ProxFunction],
     smooth: Sequence[SmoothTerm],
@@ -947,17 +950,8 @@ def run_fb_min(
     """
     if not isinstance(L, LinearBlockOperator):
         L = LinearBlockOperator(L)
-    return _solve_fb_min(CoupledMinProblem(tuple(fs), tuple(smooth), L), cfg,
-                         x0)
-
-
-def _solve_fb_min(problem: CoupledMinProblem, cfg: SolverConfig,
-                  x0: BlockVector) -> IterateTrace:
-    """``run_fb_min`` on a problem built once (its set-up is reused)."""
+    problem = CoupledMinProblem(tuple(fs), tuple(smooth), L)
     if x0.dims != problem.dims:
         raise ShapeError("starting point does not match the coupling grid")
-    objective_fn = None
-    if all(g.value is not None for g in problem.smooth):
-        objective_fn = problem.objective
-    return _solve_fb(problem.resolvents, problem.forward(), cfg, x0,
-                     objective_fn, check_cocoercivity=False)
+    return run_fb(problem.resolvents, problem.forward(), cfg, x0,
+                  problem.objective, check_cocoercivity=False)
