@@ -54,11 +54,13 @@ from .operators import (
     MonotoneOperator,
     ProxFunction,
     Quadratic,
+    Schedule,
     SmoothTerm,
     SquaredDistance,
     Subdifferential,
     Zero,
     affine_family,
+    as_schedule,
     blockwise_resolvent,
     box_projection_family,
     cocoercivity_bound,
@@ -81,7 +83,6 @@ from .solvers import (
     KmProblem,
     PdDrProblem,
     PrimalDualSolution,
-    Schedule,
     SolverConfig,
     TraceRecord,
     assemble_pd_problem,

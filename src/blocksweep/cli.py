@@ -69,11 +69,13 @@ full grammar:
 
 Each kind of spec is one entry of a table that gives its keys (with their
 coercers and defaults) and its constructor; one walker checks every spec
-against its entry, and unknown or missing keys are rejected.  The bounds of
-the driver hypotheses are checked by the drivers' own checks, called once at
-parse time on the first seed's settings.  Traces are written one CSV per seed with 17-significant-digit
-floats so a replayed run produces byte-identical files; the aggregate report
-is JSON.  The only environment override is ``BLOCKSWEEP_OUT`` for the output
+against its entry, and unknown or missing keys are rejected.  Each driver's
+own precondition check (shapes, sweeping rule, error slots, hypothesis
+bounds) runs once at parse time on the first seed's settings, so a config
+that parses passes every check a seed makes before its first iteration.
+Traces are written one CSV per seed with 17-significant-digit floats so a
+replayed run produces byte-identical files; the aggregate report is JSON.
+The only environment override is ``BLOCKSWEEP_OUT`` for the output
 directory.
 """
 
@@ -83,11 +85,12 @@ import argparse
 import concurrent.futures
 import json
 import os
+import re
 import sys
 import traceback
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import yaml
@@ -110,6 +113,7 @@ from .operators import (
     LinearBlockOperator,
     LinearMonotone,
     Quadratic,
+    Schedule,
     SmoothTerm,
     SquaredDistance,
     Subdifferential,
@@ -129,12 +133,12 @@ from .solvers import (
     FbProblem,
     IterateTrace,
     KmProblem,
-    Schedule,
     SolverConfig,
     _check_double_layer,
+    _check_dr,
     _check_forward_backward,
+    _check_pd_dr,
     _check_single_layer,
-    _check_splitting,
     assemble_pd_problem,
     run_double_layer,
     run_dr,
@@ -157,6 +161,8 @@ _ERROR_SLOTS = ("a", "b", "c", "d")
 # libyaml's parser when PyYAML was built with it; same resolver and
 # constructor as yaml.SafeLoader, so the same documents
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# exponent notation that YAML 1.1 reads as a string (1e-8 needs 1.0e-8)
+_EXPONENT = re.compile(r"([-+]?[0-9]+)(\.[0-9]*)?[eE]([-+]?)([0-9]+)")
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +201,13 @@ def _get(node: Mapping, key: str, context: str):
 
 def _float(value, context: str, dims=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(context, f"expected a number, got {value!r}")
+        hint = ""
+        exp = _EXPONENT.fullmatch(value) if isinstance(value, str) else None
+        if exp:
+            mant, frac, sign, power = exp.groups()
+            hint = (" (YAML 1.1 reads this as a string; write "
+                    f"{mant}{frac or '.0'}e{sign or '+'}{power})")
+        _fail(context, f"expected a number, got {value!r}{hint}")
     return float(value)
 
 
@@ -289,12 +301,6 @@ def _schedule_node(value, context: str, dims=None) -> dict:
     if out.get("ramp", 1) < 1:
         _fail(context, "ramp must be >= 1")
     return out
-
-
-def _build_schedule(node: Mapping) -> Schedule:
-    if "end" in node:
-        return Schedule(node["start"], node["end"], node["ramp"])
-    return Schedule(node["start"])
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +435,7 @@ def _prox(spec: Mapping, dims: BlockDims) -> BlockOperatorFamily:
 
 
 def _affine(spec: Mapping, dims: BlockDims) -> BlockOperatorFamily:
-    alpha = _build_schedule(spec["alpha"]) if "alpha" in spec else None
+    alpha = Schedule(**spec["alpha"]) if "alpha" in spec else None
     fixed = tuple(construct(dims, fp) for fp in spec.get("fixed_points", []))
     return affine_family(dims, np.array(spec["matrix"]), _array(spec, "offset"),
                          spec["regularity"], alpha, fixed)
@@ -456,7 +462,7 @@ _OPERATORS = _Table("operator", "type", {
     "forward_step": (
         {**_COUPLED_SMOOTH, "stepsize": (_schedule_node, _REQUIRED)},
         lambda s, dims: forward_step_family(
-            _coupling_gradient(s, dims), _build_schedule(s["stepsize"]),
+            _coupling_gradient(s, dims), Schedule(**s["stepsize"]),
             dims)),
 })
 
@@ -606,18 +612,17 @@ _INITIAL_KEYS = {
 # ---------------------------------------------------------------------------
 
 
+@dataclass
 class _RunPlan:
     """Everything needed to run and to compute a reference solution."""
 
-    def __init__(self, mask_blocks: int, problem, dims: BlockDims, runner,
-                 check):
-        self.mask_blocks = mask_blocks
-        self.problem = problem
-        self.dims = dims
-        self.runner = runner  # (SolverConfig) -> (IterateTrace, solution|None)
-        self.check = check  # (SolverConfig) -> None, the driver's own check
-        # the solver settings of the first seed; a run replaces the seed
-        self.config: SolverConfig | None = None
+    mask_blocks: int
+    problem: Any
+    dims: BlockDims
+    runner: Callable  # (SolverConfig) -> (IterateTrace, solution|None)
+    check: Callable  # (SolverConfig) -> None, the driver's own check
+    # the solver settings of the first seed; a run replaces the seed
+    config: SolverConfig | None = None
 
 
 def _initial(rc: RunConfig, key: str, dims: BlockDims) -> BlockVector:
@@ -636,7 +641,7 @@ def _plan_km(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
     return _RunPlan(
         dims.m, KmProblem(family, x0), dims,
         lambda scfg: (run_single_layer(family, scfg, x0), None),
-        lambda scfg: _check_single_layer(family, scfg),
+        lambda scfg: _check_single_layer(family, scfg, x0),
     )
 
 
@@ -654,7 +659,7 @@ def _plan_double_layer(prob: Mapping, rc: RunConfig,
         KmProblem(BlockOperatorFamily(dims, composed, "nonexpansive"), x0),
         dims,
         lambda scfg: (run_double_layer(outer, inner, scfg, x0), None),
-        lambda scfg: _check_double_layer(outer, inner, scfg),
+        lambda scfg: _check_double_layer(outer, inner, scfg, x0),
     )
 
 
@@ -668,7 +673,7 @@ def _plan_dr(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
         dims.m, problem, dims,
         lambda scfg: run_dr(problem.resolvents, jb, gamma, scfg, x0, z0,
                             check_resolvent=False),
-        lambda scfg: _check_splitting(gamma, scfg),
+        lambda scfg: _check_dr(problem.resolvents, gamma, scfg, x0, z0),
     )
 
 
@@ -684,21 +689,25 @@ def _plan_pd_dr(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
     return _RunPlan(
         problem.k_dims.m, problem, dims,
         lambda scfg: run_pd_dr(problem, gamma, scfg, x0, z0, y0, w0),
-        lambda scfg: _check_splitting(gamma, scfg),
+        lambda scfg: _check_pd_dr(problem, gamma, scfg, x0, z0, y0, w0),
+    )
+
+
+def _fb_plan(problem, B, objective, rc: RunConfig,
+             dims: BlockDims) -> _RunPlan:
+    x0 = _initial(rc, "x0", dims)
+    return _RunPlan(
+        dims.m, problem, dims,
+        lambda scfg: (run_fb(problem.resolvents, B, scfg, x0, objective,
+                             check_cocoercivity=False), None),
+        lambda scfg: _check_forward_backward(problem.resolvents, B, scfg, x0),
     )
 
 
 def _plan_fb(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
     A = tuple(_build(_MONOTONES, b) for b in prob["blocks"])
     B = _build(_FORWARDS, prob["forward"], dims)
-    problem = FbProblem(A, B, dims)
-    x0 = _initial(rc, "x0", dims)
-    return _RunPlan(
-        dims.m, problem, dims,
-        lambda scfg: (run_fb(problem.resolvents, B, scfg, x0,
-                             check_cocoercivity=False), None),
-        lambda scfg: _check_forward_backward(B, scfg),
-    )
+    return _fb_plan(FbProblem(A, B, dims), B, None, rc, dims)
 
 
 def _plan_fb_min(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
@@ -706,14 +715,7 @@ def _plan_fb_min(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
     problem = CoupledMinProblem(
         tuple(_build(_FUNCTIONS, f) for f in prob["functions"]),
         tuple(_build(_SMOOTHS, s) for s in prob["smooth"]), grid)
-    x0 = _initial(rc, "x0", dims)
-    return _RunPlan(
-        dims.m, problem, dims,
-        lambda scfg: (run_fb(problem.resolvents, problem.forward(), scfg, x0,
-                             problem.objective, check_cocoercivity=False),
-                      None),
-        lambda scfg: _check_forward_backward(problem.forward(), scfg),
-    )
+    return _fb_plan(problem, problem.forward(), problem.objective, rc, dims)
 
 
 _DIMS = {"dims": (_dims, _REQUIRED)}
@@ -752,9 +754,9 @@ def _build_solver_config(rc: RunConfig, plan: _RunPlan,
         reference = construct(plan.dims, rc.reference)
     return SolverConfig(
         sweeping=_build_sweeping(rc, plan.mask_blocks),
-        relaxation=_build_schedule(solver["relaxation"]),
-        dr_relaxation=_build_schedule(solver["dr_relaxation"]),
-        stepsize=(_build_schedule(solver["stepsize"])
+        relaxation=Schedule(**solver["relaxation"]),
+        dr_relaxation=Schedule(**solver["dr_relaxation"]),
+        stepsize=(Schedule(**solver["stepsize"])
                   if "stepsize" in solver else None),
         gamma=solver["gamma"],
         max_iterations=solver["max_iterations"],

@@ -38,7 +38,6 @@ from .operators import (
     MonotoneOperator,
     SeparableSweep,
     Subdifferential,
-    graph_projection,
 )
 from .solvers import (
     CoupledMinProblem,
@@ -501,17 +500,9 @@ def oracle_reference(
 
     if isinstance(problem, PdDrProblem):
         _check_oracle_scale(problem.k_dims)
-        h, g, k = problem.h_dims, problem.g_dims, problem.k_dims
-
-        def jb(v: BlockVector) -> BlockVector:
-            xv = BlockVector(h, v.flat[: h.total])
-            yv = BlockVector(g, v.flat[h.total:])
-            t, lt = graph_projection(problem.V, xv, yv)
-            return BlockVector(k, np.concatenate([t.flat, lt.flat]))
-
-        zk = _full_dr_reference(problem.k_ops, jb, k, 1.0,
-                                max_iterations, tol)
-        return BlockVector(h, zk.flat[: h.total])
+        zk = _full_dr_reference(problem.k_ops, problem.project,
+                                problem.k_dims, 1.0, max_iterations, tol)
+        return BlockVector(problem.h_dims, zk.flat[: problem.h_dims.total])
 
     if isinstance(problem, KmProblem):
         _check_oracle_scale(problem.family.dims)

@@ -48,6 +48,8 @@ __all__ = [
     "cocoercivity_bound",
     "CocoerciveOperator",
     "coupling_forward_operator",
+    "Schedule",
+    "as_schedule",
     "BlockOperatorFamily",
     "prox_family",
     "resolvent_family",
@@ -801,10 +803,45 @@ def graph_projection(
 _REGULARITY_TAGS = ("quasinonexpansive", "nonexpansive", "averaged")
 
 
-def _value_at(schedule_or_float, n: int) -> float:
-    if hasattr(schedule_or_float, "at"):
-        return float(schedule_or_float.at(n))
-    return float(schedule_or_float)
+@dataclass(frozen=True)
+class Schedule:
+    """A constant value or a two-point linear ramp over the iterations.
+
+    With ``end`` and ``ramp`` set, the value moves linearly from ``start`` at
+    iteration 0 to ``end`` at iteration ``ramp`` and stays there.
+    """
+
+    start: float
+    end: float | None = None
+    ramp: int | None = None
+
+    def __post_init__(self):
+        if (self.end is None) != (self.ramp is None):
+            raise ParameterError("a ramp schedule needs both end and ramp")
+        if self.ramp is not None and self.ramp < 1:
+            raise ParameterError("ramp length must be >= 1")
+
+    def at(self, n: int) -> float:
+        if self.end is None:
+            return self.start
+        t = min(n, self.ramp) / self.ramp
+        return self.start + (self.end - self.start) * t
+
+    def bounds(self) -> tuple[float, float]:
+        if self.end is None:
+            return (self.start, self.start)
+        return (min(self.start, self.end), max(self.start, self.end))
+
+    def scaled(self, factor: float) -> "Schedule":
+        if self.end is None:
+            return Schedule(self.start * factor)
+        return Schedule(self.start * factor, self.end * factor, self.ramp)
+
+
+def as_schedule(value) -> Schedule:
+    if isinstance(value, Schedule):
+        return value
+    return Schedule(float(value))
 
 
 @dataclass(frozen=True)
@@ -814,13 +851,13 @@ class BlockOperatorFamily:
     ``evaluate(n, x)`` must return the image of the full vector ``x`` under
     the iteration-``n`` operator.  The regularity tag declares the class the
     family claims to belong to; for averaged families ``averaging`` gives the
-    averaging constant (a float or anything with ``.at(n)``).
+    averaging constant, a float or a ``Schedule``, kept as a ``Schedule``.
     """
 
     dims: BlockDims
     evaluate: Callable[[int, BlockVector], BlockVector]
     regularity: str
-    averaging: object | None = None
+    averaging: Schedule | None = None
     fixed_points: tuple[BlockVector, ...] = ()
 
     def __post_init__(self):
@@ -831,11 +868,13 @@ class BlockOperatorFamily:
             )
         if self.regularity == "averaged" and self.averaging is None:
             raise ParameterError("averaged families need an averaging constant")
+        if self.averaging is not None:
+            object.__setattr__(self, "averaging", as_schedule(self.averaging))
 
     def alpha_at(self, n: int) -> float:
         if self.averaging is None:
             raise ParameterError("family has no averaging constant")
-        return _value_at(self.averaging, n)
+        return self.averaging.at(n)
 
 
 def prox_family(
@@ -850,9 +889,10 @@ def prox_family(
     call per other block; see ``SeparableSweep``.
     """
     sweep = SeparableSweep(fs, "prox")
+    gamma = as_schedule(gamma)
 
     def evaluate(n: int, x: BlockVector) -> BlockVector:
-        return sweep.apply(x, _value_at(gamma, n))
+        return sweep.apply(x, gamma.at(n))
 
     return BlockOperatorFamily(sweep.dims, evaluate, "averaged", 0.5,
                                tuple(fixed_points))
@@ -873,9 +913,10 @@ def resolvent_family(
     """
     sweep = (ops if isinstance(ops, SeparableSweep)
              else SeparableSweep(ops, "resolvent"))
+    gamma = as_schedule(gamma)
 
     def evaluate(n: int, x: BlockVector) -> BlockVector:
-        return sweep.apply(x, _value_at(gamma, n))
+        return sweep.apply(x, gamma.at(n))
 
     return BlockOperatorFamily(sweep.dims, evaluate, "averaged", 0.5)
 
@@ -894,15 +935,13 @@ def forward_step_family(B: CocoerciveOperator | None, gamma,
             dims, lambda n, x: x, "averaged", 1e-9
         )
 
-    def evaluate(n: int, x: BlockVector) -> BlockVector:
-        g = _value_at(gamma, n)
-        return BlockVector(B.dims, x.flat - g * B.apply(x).flat)
+    gamma = as_schedule(gamma)
 
-    if hasattr(gamma, "scaled"):
-        beta = gamma.scaled(1.0 / (2.0 * B.theta))
-    else:
-        beta = float(gamma) / (2.0 * B.theta)
-    return BlockOperatorFamily(B.dims, evaluate, "averaged", beta)
+    def evaluate(n: int, x: BlockVector) -> BlockVector:
+        return BlockVector(B.dims, x.flat - gamma.at(n) * B.apply(x).flat)
+
+    return BlockOperatorFamily(B.dims, evaluate, "averaged",
+                               gamma.scaled(1.0 / (2.0 * B.theta)))
 
 
 def affine_family(
@@ -910,7 +949,7 @@ def affine_family(
     matrix,
     offset=None,
     regularity: str = "nonexpansive",
-    averaging: object | None = None,
+    averaging: Schedule | float | None = None,
     fixed_points: Sequence[BlockVector] = (),
 ) -> BlockOperatorFamily:
     """Affine map ``x -> S x + c`` with a caller-declared regularity tag."""

@@ -6,6 +6,15 @@ emits a complete per-iteration trace.  Runs are deterministic given the
 configuration and seed: masks and stochastic errors are drawn from streams
 keyed only by ``(seed, iteration, stream)``.
 
+All six drivers run one loop, ``_engine``, which owns the tolerance stop,
+the mask draw, the snapshot stride and the trace records.  Its
+``measure(n, x)`` does the full-vector work (residual, distance, objective,
+stepsize or gamma column) and its ``step(n, x, mask, relax, state)`` updates
+the active blocks only.  The relaxed drivers share one measure/step pair
+(``_km``), the splitting drivers another (``_splitting``).  Each driver
+checks its cheap preconditions in one ``_check_*`` function, which the CLI
+also calls when it parses a config.
+
 Drivers
 -------
 ``run_single_layer``
@@ -27,7 +36,6 @@ Drivers
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -49,9 +57,11 @@ from .operators import (
     LinearBlockOperator,
     MonotoneOperator,
     ProxFunction,
+    Schedule,
     SeparableSweep,
     SmoothTerm,
     Subdifferential,
+    as_schedule,
     coupling_forward_operator,
     forward_step_family,
     graph_projection,
@@ -84,56 +94,8 @@ _SLOT_STREAMS = {"a": 1, "b": 2, "c": 3, "d": 4}
 
 
 # ---------------------------------------------------------------------------
-# schedules and configuration
+# configuration and traces
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """A constant value or a two-point linear ramp over the iterations.
-
-    With ``end`` and ``ramp`` set, the value moves linearly from ``start`` at
-    iteration 0 to ``end`` at iteration ``ramp`` and stays there.
-    """
-
-    start: float
-    end: float | None = None
-    ramp: int | None = None
-
-    def __post_init__(self):
-        if (self.end is None) != (self.ramp is None):
-            raise ParameterError("a ramp schedule needs both end and ramp")
-        if self.ramp is not None and self.ramp < 1:
-            raise ParameterError("ramp length must be >= 1")
-
-    def at(self, n: int) -> float:
-        if self.end is None:
-            return self.start
-        t = min(n, self.ramp) / self.ramp
-        return self.start + (self.end - self.start) * t
-
-    def bounds(self) -> tuple[float, float]:
-        if self.end is None:
-            return (self.start, self.start)
-        return (min(self.start, self.end), max(self.start, self.end))
-
-    def scaled(self, factor: float) -> "Schedule":
-        if self.end is None:
-            return Schedule(self.start * factor)
-        return Schedule(self.start * factor, self.end * factor, self.ramp)
-
-
-def as_schedule(value) -> Schedule:
-    if isinstance(value, Schedule):
-        return value
-    return Schedule(float(value))
-
-
-def _bounds_of(value) -> tuple[float, float]:
-    if hasattr(value, "bounds"):
-        return value.bounds()
-    v = float(value)
-    return (v, v)
 
 
 @dataclass(frozen=True)
@@ -293,6 +255,7 @@ class PdDrProblem:
     def __post_init__(self):
         object.__setattr__(self, "resolvents",
                            SeparableSweep(self.k_ops, "resolvent"))
+        object.__setattr__(self, "_k_dims", self.h_dims.concat(self.g_dims))
 
     @property
     def h_dims(self) -> BlockDims:
@@ -304,11 +267,17 @@ class PdDrProblem:
 
     @property
     def k_dims(self) -> BlockDims:
-        return self.h_dims.concat(self.g_dims)
+        return self._k_dims
 
     @property
     def k_ops(self) -> tuple[MonotoneOperator, ...]:
         return self.h_ops + self.g_ops
+
+    def project(self, v: BlockVector) -> BlockVector:
+        """Graph projector on the paired space, the coupled resolvent."""
+        h, g = self.h_dims, self.g_dims
+        t, lt = graph_projection(self.V, *_split_pair(v, h, g))
+        return _join_pair(t, lt, self._k_dims)
 
 
 @dataclass(frozen=True)
@@ -328,13 +297,7 @@ class CoupledMinProblem:
     resolvents: SeparableSweep = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dims = self.dims.dims
-        if len(self.fs) != len(dims):
-            raise ShapeError(f"need {len(dims)} functions, got {len(self.fs)}")
-        for i, f in enumerate(self.fs):
-            if f.dim != dims[i]:
-                raise ShapeError(f"function {i} has dim {f.dim}, expected "
-                                 f"{dims[i]}")
+        _check_terms(tuple(f.dim for f in self.fs), self.dims, "function")
         object.__setattr__(self, "_forward",
                            coupling_forward_operator(self.L, self.smooth))
         object.__setattr__(self, "resolvents", SeparableSweep(
@@ -359,13 +322,26 @@ class CoupledMinProblem:
 
 
 # ---------------------------------------------------------------------------
-# shared plumbing
+# shared plumbing and the engine
 # ---------------------------------------------------------------------------
 
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ParameterError(message)
+
+
+def _check_terms(term_dims: tuple[int, ...], dims: BlockDims, noun: str,
+                 plural: str | None = None) -> None:
+    """One term per block of ``dims``; ``term_dims`` are the terms' dims."""
+    if term_dims == dims.dims:
+        return
+    if len(term_dims) != dims.m:
+        raise ShapeError(f"need {dims.m} {plural or noun + 's'}, got "
+                         f"{len(term_dims)}")
+    i = next(i for i, d in enumerate(dims.dims) if term_dims[i] != d)
+    raise ShapeError(f"{noun} {i} has dim {term_dims[i]}, expected "
+                     f"{dims.dims[i]}")
 
 
 def _check_slots(cfg: SolverConfig, allowed: tuple[str, ...],
@@ -425,31 +401,23 @@ def _paired_error_sampler(
     return sample
 
 
-def _distance_to(reference: BlockVector | None) -> Callable[[BlockVector], float] | None:
-    if reference is None:
-        return None
-    return lambda v: distance(v, reference)
-
-
-def _km_engine(
-    target_fn: Callable[[int, BlockVector], BlockVector],
-    relaxation: Schedule,
+def _engine(
     cfg: SolverConfig,
     x0: BlockVector,
-    sampler_a: Callable[[int], BlockVector] | None,
-    distance_fn: Callable[[BlockVector], float] | None,
-    objective_fn: Callable[[BlockVector], float] | None,
-    stepsize: Schedule | None,
+    relaxation: Schedule,
+    measure: Callable[[int, BlockVector], tuple],
+    step: Callable[..., BlockVector],
 ) -> IterateTrace:
+    """The iteration loop of every driver; see the module docstring.
+
+    ``measure`` returns ``(residual, stepsize, distance, objective, state)``
+    and ``state`` is handed on to ``step``.
+    """
     records: list[TraceRecord] = []
     x = x0
     termination = "max_iterations"
     for n in range(cfg.max_iterations):
-        target = target_fn(n, x)
-        residual = distance(target, x)
-        dist = distance_fn(x) if distance_fn else None
-        obj = objective_fn(x) if objective_fn else None
-        g = stepsize.at(n) if stepsize is not None else None
+        residual, g, dist, obj, state = measure(n, x)
         if residual < cfg.tolerance:
             records.append(
                 TraceRecord(n, residual, None, None, g, dist, obj, None)
@@ -457,15 +425,88 @@ def _km_engine(
             termination = "tolerance"
             break
         mask = sample_mask(cfg.sweeping, n, cfg.seed)
-        lam = relaxation.at(n)
-        cand = target if sampler_a is None else combine(1.0, target, 1.0,
-                                                        sampler_a(n))
+        relax = relaxation.at(n)
         snap = x if n % cfg.snapshot_stride == 0 else None
         records.append(
-            TraceRecord(n, residual, mask.bits, lam, g, dist, obj, snap)
+            TraceRecord(n, residual, mask.bits, relax, g, dist, obj, snap)
         )
-        x = masked_update(x, mask, lam, cand)
+        x = step(n, x, mask, relax, state)
     return IterateTrace(tuple(records), x, termination)
+
+
+def _km(
+    cfg: SolverConfig,
+    x0: BlockVector,
+    target_fn: Callable[[int, BlockVector], BlockVector],
+    sampler_a: Callable[[int], BlockVector] | None,
+    objective_fn: Callable[[BlockVector], float] | None = None,
+    stepsize: Schedule | None = None,
+) -> IterateTrace:
+    """Relax the active blocks toward ``target_fn(n, x) + a_n``."""
+    ref = cfg.reference
+
+    def measure(n: int, x: BlockVector) -> tuple:
+        target = target_fn(n, x)
+        return (distance(target, x),
+                stepsize.at(n) if stepsize is not None else None,
+                distance(x, ref) if ref is not None else None,
+                objective_fn(x) if objective_fn else None,
+                target)
+
+    def step(n: int, x: BlockVector, mask, lam: float,
+             target: BlockVector) -> BlockVector:
+        if sampler_a is not None:
+            target = combine(1.0, target, 1.0, sampler_a(n))
+        return masked_update(x, mask, lam, target)
+
+    return _engine(cfg, x0, cfg.relaxation, measure, step)
+
+
+def _splitting(
+    cfg: SolverConfig,
+    x0: BlockVector,
+    z0: BlockVector,
+    sweep: SeparableSweep,
+    jb: Callable[[BlockVector], BlockVector],
+    gamma: float,
+    sampler_a: Callable[[int], BlockVector] | None,
+    sampler_b: Callable[[int], BlockVector] | None,
+    primal: Callable[[BlockVector], BlockVector],
+) -> IterateTrace:
+    """The splitting step of ``run_dr`` and ``run_pd_dr``, holding ``z``.
+
+    The distance to the reference is measured at ``primal(jb(x))``.
+    """
+    dims = x0.dims
+    A_ops = sweep.terms
+    ref = cfg.reference
+    z = z0
+
+    def measure(n: int, x: BlockVector) -> tuple:
+        q = jb(x)
+        ja = sweep.apply(combine(2.0, q, -1.0, x), gamma)
+        return (2.0 * distance(ja, q), gamma,
+                distance(primal(q), ref) if ref is not None else None,
+                None, q)
+
+    def step(n: int, x: BlockVector, mask, mu: float,
+             q: BlockVector) -> BlockVector:
+        nonlocal z
+        zt = q if sampler_b is None else combine(1.0, q, 1.0, sampler_b(n))
+        z = masked_update(z, mask, 1.0, zt)
+        a_n = sampler_a(n) if sampler_a is not None else None
+        out = x.flat.copy()
+        for i in mask.active:
+            sl = dims.slice(i)
+            arg = 2.0 * z.flat[sl] - x.flat[sl]
+            ji = A_ops[i].resolvent(arg, gamma)
+            delta = ji - z.flat[sl]
+            if a_n is not None:
+                delta = delta + a_n.flat[sl]
+            out[sl] = x.flat[sl] + mu * delta
+        return BlockVector(dims, out)
+
+    return _engine(cfg, x0, cfg.dr_relaxation, measure, step)
 
 
 # ---------------------------------------------------------------------------
@@ -489,23 +530,20 @@ def run_single_layer(
     to relaxations with ``alpha_n * lambda_n`` bounded inside ]0, 1[; the
     update itself is unchanged.
     """
+    _check_single_layer(T, cfg, x0)
+    return _km(cfg, x0, T.evaluate, _error_sampler(cfg, "a", T.dims))
+
+
+def _check_single_layer(T: BlockOperatorFamily, cfg: SolverConfig,
+                        x0: BlockVector) -> None:
+    """The preconditions of ``run_single_layer``, also checked at parse."""
     if x0.dims != T.dims:
         raise ShapeError("starting point does not match the operator family")
     _check_rule(cfg.sweeping, T.dims.m, "single-layer driver")
     _check_slots(cfg, ("a",), "single-layer driver")
-    _check_single_layer(T, cfg)
-    sampler_a = _error_sampler(cfg, "a", T.dims)
-    return _km_engine(
-        T.evaluate, cfg.relaxation, cfg, x0, sampler_a,
-        _distance_to(cfg.reference), None, None,
-    )
-
-
-def _check_single_layer(T: BlockOperatorFamily, cfg: SolverConfig) -> None:
-    """The bounds of ``run_single_layer``, also checked at config parse."""
     lo, hi = cfg.relaxation.bounds()
     if T.regularity == "averaged":
-        alo, ahi = _bounds_of(T.averaging)
+        alo, ahi = T.averaging.bounds()
         corners = [alo * lo, alo * hi, ahi * lo, ahi * hi]
         _require(
             min(corners) > 0 and max(corners) < 1,
@@ -543,15 +581,8 @@ def run_double_layer(
     ``inner_error_sampler`` overrides the "b" error slot with a caller-built
     sampler; ``stepsize_for_trace`` only fills the trace stepsize column.
     """
-    if x0.dims != T.dims or x0.dims != R.dims:
-        raise ShapeError("starting point does not match the operator families")
-    _check_rule(cfg.sweeping, T.dims.m, "double-layer driver")
-    _check_slots(cfg, ("a", "b"), "double-layer driver")
-    _check_double_layer(T, R, cfg)
-    sampler_a = _error_sampler(cfg, "a", T.dims)
-    sampler_b = inner_error_sampler
-    if sampler_b is None:
-        sampler_b = _error_sampler(cfg, "b", R.dims)
+    _check_double_layer(T, R, cfg, x0)
+    sampler_b = inner_error_sampler or _error_sampler(cfg, "b", R.dims)
 
     def target_fn(n: int, x: BlockVector) -> BlockVector:
         y = R.evaluate(n, x)
@@ -559,22 +590,24 @@ def run_double_layer(
             y = combine(1.0, y, 1.0, sampler_b(n))
         return T.evaluate(n, y)
 
-    return _km_engine(
-        target_fn, cfg.relaxation, cfg, x0, sampler_a,
-        _distance_to(cfg.reference), objective_fn, stepsize_for_trace,
-    )
+    return _km(cfg, x0, target_fn, _error_sampler(cfg, "a", T.dims),
+               objective_fn, stepsize_for_trace)
 
 
 def _check_double_layer(T: BlockOperatorFamily, R: BlockOperatorFamily,
-                        cfg: SolverConfig) -> None:
-    """The bounds of ``run_double_layer``, also checked at config parse."""
+                        cfg: SolverConfig, x0: BlockVector) -> None:
+    """The preconditions of ``run_double_layer``, also checked at parse."""
+    if x0.dims != T.dims or x0.dims != R.dims:
+        raise ShapeError("starting point does not match the operator families")
+    _check_rule(cfg.sweeping, T.dims.m, "double-layer driver")
+    _check_slots(cfg, ("a", "b"), "double-layer driver")
     _require(T.regularity == "averaged",
              "double-layer driver needs an averaged outer family")
     _require(R.regularity == "averaged",
              "double-layer driver needs an averaged inner family")
-    _require(_bounds_of(T.averaging)[1] < 1,
+    _require(T.averaging.bounds()[1] < 1,
              "double-layer driver requires sup alpha_n < 1")
-    _require(_bounds_of(R.averaging)[1] < 1,
+    _require(R.averaging.bounds()[1] < 1,
              "double-layer driver requires sup beta_n < 1")
     _check_relaxation(cfg, "double-layer driver")
 
@@ -604,55 +637,13 @@ def _spot_check_resolvent(
             )
 
 
-def _dr_engine(
-    sweep: SeparableSweep,
-    jb: Callable[[BlockVector], BlockVector],
-    gamma: float,
-    cfg: SolverConfig,
-    x0: BlockVector,
-    z0: BlockVector,
-    sampler_a: Callable[[int], BlockVector] | None,
-    sampler_b: Callable[[int], BlockVector] | None,
-    distance_fn: Callable[[BlockVector], float] | None,
-) -> tuple[IterateTrace, BlockVector]:
-    dims = x0.dims
-    records: list[TraceRecord] = []
-    x, z = x0, z0
-    termination = "max_iterations"
-    mu_sched = cfg.dr_relaxation
-    A_ops = sweep.terms
-    for n in range(cfg.max_iterations):
-        q = jb(x)
-        refl = combine(2.0, q, -1.0, x)
-        ja = sweep.apply(refl, gamma)
-        residual = 2.0 * distance(ja, q)
-        dist = distance_fn(q) if distance_fn else None
-        if residual < cfg.tolerance:
-            records.append(
-                TraceRecord(n, residual, None, None, gamma, dist, None, None)
-            )
-            termination = "tolerance"
-            break
-        mask = sample_mask(cfg.sweeping, n, cfg.seed)
-        mu = mu_sched.at(n)
-        zt = q if sampler_b is None else combine(1.0, q, 1.0, sampler_b(n))
-        z = masked_update(z, mask, 1.0, zt)
-        a_n = sampler_a(n) if sampler_a is not None else None
-        out = x.flat.copy()
-        for i in mask.active:
-            sl = dims.slice(i)
-            arg = 2.0 * z.flat[sl] - x.flat[sl]
-            ji = A_ops[i].resolvent(arg, gamma)
-            step = ji - z.flat[sl]
-            if a_n is not None:
-                step = step + a_n.flat[sl]
-            out[sl] = x.flat[sl] + mu * step
-        snap = x if n % cfg.snapshot_stride == 0 else None
-        records.append(
-            TraceRecord(n, residual, mask.bits, mu, gamma, dist, None, snap)
-        )
-        x = BlockVector(dims, out)
-    return IterateTrace(tuple(records), x, termination), z
+def _check_splitting(gamma: float, cfg: SolverConfig) -> None:
+    """The bounds shared by ``run_dr`` and ``run_pd_dr``."""
+    _require(gamma > 0, "gamma must be > 0")
+    lo, hi = cfg.dr_relaxation.bounds()
+    _require(lo > 0 and hi < 2,
+             f"mu_n must lie in ]0, 2[ with inf mu_n > 0 and sup mu_n < 2, "
+             f"got bounds [{lo}, {hi}]")
 
 
 def run_dr(
@@ -680,40 +671,29 @@ def run_dr(
     dims = x0.dims
     if not isinstance(A, SeparableSweep):
         A = SeparableSweep(A, "resolvent")
-    if len(A.terms) != dims.m:
-        raise ShapeError(f"need {dims.m} blockwise operators, got "
-                         f"{len(A.terms)}")
-    for i, op in enumerate(A.terms):
-        if op.dim != dims.dims[i]:
-            raise ShapeError(f"operator {i} has dim {op.dim}, expected "
-                             f"{dims.dims[i]}")
-    _check_rule(cfg.sweeping, dims.m, "splitting driver")
-    _check_slots(cfg, ("a", "b"), "splitting driver")
-    _check_splitting(gamma, cfg)
-    if z0 is None:
-        z0 = construct(dims)
-    if z0.dims != dims:
-        raise ShapeError("shadow state dims do not match the iterate")
+    _check_dr(A, gamma, cfg, x0, z0)
     if check_resolvent:
         _spot_check_resolvent(JB, dims)
-    trace, _ = _dr_engine(
-        A, JB, gamma, cfg, x0, z0,
-        _error_sampler(cfg, "a", dims),
-        _error_sampler(cfg, "b", dims),
-        _distance_to(cfg.reference),
+    trace = _splitting(
+        cfg, x0, z0 if z0 is not None else construct(dims), A, JB, gamma,
+        _error_sampler(cfg, "a", dims), _error_sampler(cfg, "b", dims),
+        lambda q: q,
     )
     z = JB(trace.final)
     u = combine(1.0 / gamma, trace.final, -1.0 / gamma, z)
     return trace, PrimalDualSolution(primal=z, dual=u)
 
 
-def _check_splitting(gamma: float, cfg: SolverConfig) -> None:
-    """The bounds of ``run_dr`` and ``run_pd_dr``, also checked at parse."""
-    _require(gamma > 0, "gamma must be > 0")
-    lo, hi = cfg.dr_relaxation.bounds()
-    _require(lo > 0 and hi < 2,
-             f"mu_n must lie in ]0, 2[ with inf mu_n > 0 and sup mu_n < 2, "
-             f"got bounds [{lo}, {hi}]")
+def _check_dr(A: SeparableSweep, gamma: float, cfg: SolverConfig,
+              x0: BlockVector, z0: BlockVector | None) -> None:
+    """The preconditions of ``run_dr``, also checked at parse."""
+    dims = x0.dims
+    _check_terms(A.dims.dims, dims, "operator", "blockwise operators")
+    _check_rule(cfg.sweeping, dims.m, "splitting driver")
+    _check_slots(cfg, ("a", "b"), "splitting driver")
+    _check_splitting(gamma, cfg)
+    if z0 is not None and z0.dims != dims:
+        raise ShapeError("shadow state dims do not match the iterate")
 
 
 # ---------------------------------------------------------------------------
@@ -744,18 +724,8 @@ def assemble_pd_problem(
 
     h_ops = tuple(wrap(t) for t in primal_terms)
     g_ops = tuple(wrap(t) for t in dual_terms)
-    if len(h_ops) != L.m:
-        raise ShapeError(f"need {L.m} primal terms, got {len(h_ops)}")
-    if len(g_ops) != L.p:
-        raise ShapeError(f"need {L.p} dual terms, got {len(g_ops)}")
-    for i, op in enumerate(h_ops):
-        if op.dim != L.source_dims.dims[i]:
-            raise ShapeError(f"primal term {i} has dim {op.dim}, expected "
-                             f"{L.source_dims.dims[i]}")
-    for k, op in enumerate(g_ops):
-        if op.dim != L.target_dims.dims[k]:
-            raise ShapeError(f"dual term {k} has dim {op.dim}, expected "
-                             f"{L.target_dims.dims[k]}")
+    _check_terms(tuple(op.dim for op in h_ops), L.source_dims, "primal term")
+    _check_terms(tuple(op.dim for op in g_ops), L.target_dims, "dual term")
     for k in range(L.p):
         if float(np.trace(L.row_gram(k))) <= 0.0:
             raise ParameterError(
@@ -795,46 +765,40 @@ def run_pd_dr(
     ``(w - y_final) / gamma`` with ``w`` its image part.
     """
     h, g, k = problem.h_dims, problem.g_dims, problem.k_dims
-    if x0.dims != h:
-        raise ShapeError("x0 must live on the primal blocks")
+    _check_pd_dr(problem, gamma, cfg, x0, z0, y0, w0)
     y0 = y0 if y0 is not None else problem.L.apply(x0)
-    if y0.dims != g:
-        raise ShapeError("y0 must live on the image blocks")
     z0 = z0 if z0 is not None else construct(h)
     w0 = w0 if w0 is not None else construct(g)
-    if z0.dims != h or w0.dims != g:
-        raise ShapeError("shadow states must match the primal/image blocks")
-    _check_rule(cfg.sweeping, k.m, "primal-dual driver")
-    _check_slots(cfg, ("a", "b", "c", "d"), "primal-dual driver")
-    _check_splitting(gamma, cfg)
 
-    V = problem.V
-
-    def jb(v: BlockVector) -> BlockVector:
-        xv, yv = _split_pair(v, h, g)
-        t, lt = graph_projection(V, xv, yv)
-        return _join_pair(t, lt, k)
-
-    distance_fn = None
-    if cfg.reference is not None:
-        if cfg.reference.dims != h:
-            raise ShapeError("reference must live on the primal blocks")
-        ref = cfg.reference
-
-        def distance_fn(q: BlockVector) -> float:
-            return distance(_split_pair(q, h, g)[0], ref)
-
-    trace, _ = _dr_engine(
-        problem.resolvents, jb, gamma, cfg,
-        _join_pair(x0, y0, k), _join_pair(z0, w0, k),
+    trace = _splitting(
+        cfg, _join_pair(x0, y0, k), _join_pair(z0, w0, k),
+        problem.resolvents, problem.project, gamma,
         _paired_error_sampler(cfg, "a", "b", h, g, k),
         _paired_error_sampler(cfg, "c", "d", h, g, k),
-        distance_fn,
+        lambda q: _split_pair(q, h, g)[0],
     )
-    z_final, w_final = _split_pair(jb(trace.final), h, g)
+    z_final, w_final = _split_pair(problem.project(trace.final), h, g)
     _, y_final = _split_pair(trace.final, h, g)
     dual = combine(1.0 / gamma, w_final, -1.0 / gamma, y_final)
     return trace, PrimalDualSolution(primal=z_final, dual=dual)
+
+
+def _check_pd_dr(problem: PdDrProblem, gamma: float, cfg: SolverConfig,
+                 x0: BlockVector, z0: BlockVector | None,
+                 y0: BlockVector | None, w0: BlockVector | None) -> None:
+    """The preconditions of ``run_pd_dr``, also checked at parse."""
+    h, g = problem.h_dims, problem.g_dims
+    if x0.dims != h:
+        raise ShapeError("x0 must live on the primal blocks")
+    if y0 is not None and y0.dims != g:
+        raise ShapeError("y0 must live on the image blocks")
+    if (z0 is not None and z0.dims != h) or (w0 is not None and w0.dims != g):
+        raise ShapeError("shadow states must match the primal/image blocks")
+    _check_rule(cfg.sweeping, problem.k_dims.m, "primal-dual driver")
+    _check_slots(cfg, ("a", "b", "c", "d"), "primal-dual driver")
+    _check_splitting(gamma, cfg)
+    if cfg.reference is not None and cfg.reference.dims != h:
+        raise ShapeError("reference must live on the primal blocks")
 
 
 # ---------------------------------------------------------------------------
@@ -881,20 +845,11 @@ def run_fb(
     dims = x0.dims
     if not isinstance(A, SeparableSweep):
         A = SeparableSweep(A, "resolvent")
-    if len(A.terms) != dims.m:
-        raise ShapeError(f"need {dims.m} blockwise operators, got "
-                         f"{len(A.terms)}")
-    _check_slots(cfg, ("a", "c"), "forward-backward driver")
-    _check_forward_backward(B, cfg)
+    _check_forward_backward(A, B, cfg, x0)
+    if B is not None and check_cocoercivity:
+        _spot_check_cocoercive(B)
     gamma = cfg.stepsize
-    if B is not None:
-        if B.dims != dims:
-            raise ShapeError("forward operator dims do not match the iterate")
-        if check_cocoercivity:
-            _spot_check_cocoercive(B)
     T = resolvent_family(A, gamma)
-    if T.dims != dims:
-        raise ShapeError("blockwise operators do not match the iterate dims")
     R = forward_step_family(B, gamma, dims)
     sampler_c = _error_sampler(cfg, "c", dims)
     inner_sampler = None
@@ -914,9 +869,15 @@ def run_fb(
     )
 
 
-def _check_forward_backward(B: CocoerciveOperator | None,
-                            cfg: SolverConfig) -> None:
-    """The bounds of ``run_fb``, also checked at config parse."""
+def _check_forward_backward(A: SeparableSweep, B: CocoerciveOperator | None,
+                            cfg: SolverConfig, x0: BlockVector) -> None:
+    """The preconditions of ``run_fb``, also checked at parse."""
+    dims = x0.dims
+    _check_terms(A.dims.dims, dims, "operator", "blockwise operators")
+    if B is not None and B.dims != dims:
+        raise ShapeError("forward operator dims do not match the iterate")
+    _check_rule(cfg.sweeping, dims.m, "forward-backward driver")
+    _check_slots(cfg, ("a", "c"), "forward-backward driver")
     gamma = cfg.stepsize
     if gamma is None:
         raise ParameterError("forward-backward needs a stepsize schedule")
@@ -951,7 +912,12 @@ def run_fb_min(
     if not isinstance(L, LinearBlockOperator):
         L = LinearBlockOperator(L)
     problem = CoupledMinProblem(tuple(fs), tuple(smooth), L)
-    if x0.dims != problem.dims:
-        raise ShapeError("starting point does not match the coupling grid")
+    _check_fb_min(problem, x0)
     return run_fb(problem.resolvents, problem.forward(), cfg, x0,
                   problem.objective, check_cocoercivity=False)
+
+
+def _check_fb_min(problem: CoupledMinProblem, x0: BlockVector) -> None:
+    """The precondition ``run_fb_min`` adds to those of ``run_fb``."""
+    if x0.dims != problem.dims:
+        raise ShapeError("starting point does not match the coupling grid")

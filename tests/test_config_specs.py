@@ -243,3 +243,45 @@ def test_each_seed_calls_its_public_driver_once(tmp_path, monkeypatch, kind):
     assert calls == [DRIVER_OF[kind]] * 3
     report = json.loads((tmp_path / "report.json").read_text())
     assert sorted(report["per_seed"]) == ["0", "1", "2"]
+
+
+# ---------------------------------------------------------------------------
+# validate runs every check a seed makes before its first iteration
+# ---------------------------------------------------------------------------
+
+DECAY = {"kind": "gaussian_decay", "scale": 0.1, "decay": 0.5}
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_doc(PROBLEMS["km"], errors={"b": DECAY}),
+     "single-layer driver supports error slots ['a'], got ['b']"),
+    (_doc(dict(PROBLEMS["dr"], dims=[2], blocks=[{"kind": "l1", "dim": 1}],
+               coupling={"type": "linear", "matrix": [[1.0, 0.0],
+                                                      [0.0, 1.0]]})),
+     "operator 0 has dim 1, expected 2"),
+    (_doc(PROBLEMS["fb"], errors={"b": DECAY}),
+     "forward-backward driver supports error slots ['a', 'c'], got ['b']"),
+], ids=["km_slot_b", "dr_block_dim", "fb_slot_b"])
+def test_validate_rejects_a_config_every_seed_would_reject(tmp_path, capsys,
+                                                          doc, message):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["validate", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"invalid config: {message}\n"
+
+
+def test_exponent_without_dot_is_rejected_with_a_hint():
+    text = yaml.safe_dump(_doc(PROBLEMS["km"])).replace(
+        "max_iterations: 50", "max_iterations: 50\n  tolerance: 1e-8")
+    assert "tolerance: 1e-8" in text
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == (
+        "solver.tolerance: expected a number, got '1e-8' (YAML 1.1 reads "
+        "this as a string; write 1.0e-8)")
+    written = parse_config(text.replace("1e-8", "1.0e-8"))
+    assert written.solver["tolerance"] == 1e-8
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text.replace("1e-8", "small"))
+    assert str(exc.value).endswith("got 'small'")

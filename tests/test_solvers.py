@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blocksweep as bs
 from blocksweep import Schedule, SolverConfig
@@ -630,3 +632,68 @@ def test_coupled_min_problem_checks_functions_against_grid():
     problem = bs.CoupledMinProblem((bs.L1Norm(1), bs.Zero(1)), smooth, L)
     assert problem.forward() is problem.forward()
     assert problem.resolvents.dims == problem.dims
+
+
+# ---------------------------------------------------------------------------
+# every driver's step leaves the inactive blocks untouched
+# ---------------------------------------------------------------------------
+
+STEP_DIMS = bs.BlockDims([1, 2, 1, 3])
+STEP_ERRORS = {slot: bs.ErrorModel("gaussian_decay", 0.3, 0.9)
+               for slot in "abcd"}
+
+
+def _one_step_cfg(m, seed, slots):
+    return SolverConfig(
+        sweeping=bs.independent_bernoulli([0.5] * m), seed=seed,
+        max_iterations=1, tolerance=0.0,
+        errors={s: STEP_ERRORS[s] for s in slots})
+
+
+def _assert_inactive_kept(trace, start):
+    mask = trace.records[0].mask
+    assert mask is not None and trace.iterations == 1
+    for i, bit in enumerate(mask):
+        if not bit:
+            assert trace.final.block(i).tobytes() == start.block(i).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_each_driver_step_keeps_inactive_blocks_bit_identical(seed):
+    rng = np.random.default_rng(seed)
+    d = STEP_DIMS
+    x0 = bs.BlockVector(d, rng.standard_normal(d.total))
+    # a dense map, so every block's target moves with every other block
+    S = 0.3 * rng.standard_normal((d.total, d.total))
+    T = bs.affine_family(d, S, rng.standard_normal(d.total))
+    trace = bs.run_single_layer(T, _one_step_cfg(4, seed, "a"), x0)
+    _assert_inactive_kept(trace, x0)
+
+    fs = [bs.L1Norm(1, 0.2), bs.SquaredDistance(np.ones(2)),
+          bs.BoxIndicator([-0.5], [0.5]), bs.L1Norm(3, 0.4)]
+    outer, inner = bs.prox_family(fs, 0.8), bs.prox_family(fs, 1.3)
+    trace = bs.run_double_layer(outer, inner, _one_step_cfg(4, seed, "ab"),
+                                x0)
+    _assert_inactive_kept(trace, x0)
+
+    M = S @ S.T + np.eye(d.total)
+    coupling = bs.LinearMonotone(M, rng.standard_normal(d.total))
+    jb = lambda v: bs.BlockVector(d, coupling.resolvent(v.flat, 0.9))
+    z0 = bs.BlockVector(d, rng.standard_normal(d.total))
+    trace, _ = bs.run_dr([bs.Subdifferential(f) for f in fs], jb, 0.9,
+                         _one_step_cfg(4, seed, "ab"), x0, z0)
+    _assert_inactive_kept(trace, x0)
+
+    L = [[rng.standard_normal((2, 1)), rng.standard_normal((2, 2))]]
+    problem = bs.assemble_pd_problem([bs.L1Norm(1), bs.L1Norm(2, 0.5)],
+                                     [bs.SquaredDistance(np.ones(2))], L)
+    h, g = problem.h_dims, problem.g_dims
+    xh = bs.BlockVector(h, rng.standard_normal(h.total))
+    yg = bs.BlockVector(g, rng.standard_normal(g.total))
+    trace, _ = bs.run_pd_dr(problem, 0.7, _one_step_cfg(3, seed, "abcd"),
+                            xh, bs.BlockVector(h, rng.standard_normal(3)),
+                            yg, bs.BlockVector(g, rng.standard_normal(2)))
+    _assert_inactive_kept(
+        trace, bs.BlockVector(problem.k_dims,
+                              np.concatenate([xh.flat, yg.flat])))
