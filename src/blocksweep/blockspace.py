@@ -119,7 +119,8 @@ class ActivationMask:
     """Nonzero 0/1 activation pattern: which blocks update this iteration.
 
     ``active``, the indices of the set bits, is computed once here.
-    Equality and hashing look at ``bits`` only.
+    Equality and hashing look at ``bits`` only.  The public constructor
+    converts and checks every bit, an O(m) pass in Python.
     """
 
     bits: tuple[int, ...]
@@ -134,6 +135,20 @@ class ActivationMask:
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "active",
                            tuple(itertools.compress(range(len(bits)), bits)))
+
+    @classmethod
+    def _unchecked(cls, bits: tuple[int, ...],
+                   active: tuple[int, ...]) -> "ActivationMask":
+        """A mask whose pattern is valid by construction.
+
+        ``bits`` must be a tuple of Python ints 0/1 with at least one 1 and
+        ``active`` its sorted set indices; neither is converted or checked.
+        The samplers and the exact law build their masks here.
+        """
+        mask = object.__new__(cls)
+        object.__setattr__(mask, "bits", bits)
+        object.__setattr__(mask, "active", active)
+        return mask
 
     @property
     def m(self) -> int:

@@ -84,6 +84,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import re
 import sys
@@ -856,6 +857,17 @@ def write_trace(trace: IterateTrace, path: str) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float replaced by ``None``."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def execute_run(
     rc: RunConfig,
     out_dir: str | None = None,
@@ -875,7 +887,9 @@ def execute_run(
     seed list or when some seed raised.  A seed that raises is recorded as
     ``"<Type>: <message>"`` under its ``error`` key in the report (with the
     traceback on stderr for exceptions from outside blocksweep); the other
-    seeds' traces and the report are still written.
+    seeds' traces and the report are still written.  The report is strict
+    JSON (RFC 8259): a non-finite float, such as the final residual of a
+    diverged seed, is written as ``null``.
     """
     try:
         plan = rc._plan
@@ -964,7 +978,8 @@ def execute_run(
         if residuals:
             report["max_final_residual"] = max(residuals)
         with open(os.path.join(directory, "report.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            json.dump(_finite_or_null(report), fh, indent=2, sort_keys=True,
+                      allow_nan=False)
             fh.write("\n")
     except OSError as exc:
         print(f"error: cannot write artifacts: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .blockspace import BlockDims, BlockVector, construct
 from .errors import (
@@ -751,6 +750,10 @@ class GraphSubspace:
     """
 
     def __init__(self, operator: LinearBlockOperator):
+        # scipy is imported here, not at module load: only graph-coupled
+        # problems pay its import time
+        from scipy.linalg import cho_factor
+
         self.operator = operator
         L = operator.stacked
         h, g = operator.source_dims.total, operator.target_dims.total
@@ -778,6 +781,8 @@ def graph_projection(
     debug mode the equivalent route through ``s = (I + LL')^{-1}(Lx - y)``,
     giving ``(x - L's, y + s)``, is asserted to agree.
     """
+    from scipy.linalg import cho_solve  # loaded by GraphSubspace already
+
     op = V.operator
     if x.dims != op.source_dims or y.dims != op.target_dims:
         raise ShapeError("projection input dims do not match the subspace")

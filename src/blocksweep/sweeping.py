@@ -135,19 +135,22 @@ def sample_mask(rule: SweepingRule, iteration: int, seed: int) -> ActivationMask
         # the draw of rng.choice(m, p=rule._block_p), without its per-call
         # validation and cumulative sum
         i = int(rule._block_cdf.searchsorted(rng.random(), side="right"))
-        return ActivationMask((0,) * i + (1,) + (0,) * (m - i - 1))
+        return ActivationMask._unchecked((0,) * i + (1,) + (0,) * (m - i - 1),
+                                         (i,))
     if rule.scheme == "independent_bernoulli":
         q = np.asarray(rule.probabilities)
         while True:
-            bits = rng.random(m) < q
-            if bits.any():
-                return ActivationMask(bits.astype(int))
+            hit = rng.random(m) < q
+            if hit.any():
+                return ActivationMask._unchecked(
+                    tuple(hit.view(np.uint8).tolist()),
+                    tuple(np.flatnonzero(hit).tolist()))
     # fixed_subset_size
-    chosen = rng.choice(m, size=rule.size, replace=False)
+    active = tuple(sorted(rng.choice(m, size=rule.size, replace=False).tolist()))
     bits = [0] * m
-    for i in chosen:
-        bits[int(i)] = 1
-    return ActivationMask(bits)
+    for i in active:
+        bits[i] = 1
+    return ActivationMask._unchecked(tuple(bits), active)
 
 
 class MaskLaw(NamedTuple):
@@ -160,41 +163,52 @@ def mask_law(rule: SweepingRule) -> MaskLaw:
 
     Enumerates the nonzero patterns, so this is gated at ``m <= 20``.
     Bernoulli probabilities are renormalized by the rejection of the all-zero
-    pattern.
+    pattern, and patterns of probability zero are left out.  The support is
+    built as one K-by-m bit array: the Bernoulli probabilities are m column
+    products, and each marginal sums its column in support order, so both
+    equal a pattern-by-pattern loop bit for bit.  A marginal that rounds
+    above 1 is clamped to 1.
     """
     m = rule.m
     if m > _ENUMERATION_LIMIT:
         raise CapacityError(
             f"mask law enumeration supports m <= {_ENUMERATION_LIMIT}, got {m}"
         )
-    support: list[tuple[ActivationMask, float]] = []
     if rule.scheme == "single_block":
-        probs = rule._block_p
-        for i in range(m):
-            bits = [0] * m
-            bits[i] = 1
-            support.append((ActivationMask(bits), float(probs[i])))
+        bits = np.eye(m, dtype=np.uint8)
+        probs = rule._block_p.tolist()
     elif rule.scheme == "independent_bernoulli":
         q = rule.probabilities
         keep = 1.0 - math.prod(1.0 - qi for qi in q)
-        for bits in itertools.product((0, 1), repeat=m):
-            if not any(bits):
-                continue
-            p = math.prod(qi if b else 1.0 - qi for qi, b in zip(q, bits))
-            if p > 0.0:
-                support.append((ActivationMask(bits), p / keep))
+        # the nonzero patterns in itertools.product((0, 1), repeat=m) order
+        codes = np.arange(1, 1 << m)
+        bits = np.empty((codes.size, m), dtype=np.uint8)
+        prod = np.ones(codes.size)
+        for i, qi in enumerate(q):
+            bits[:, i] = (codes >> (m - 1 - i)) & 1
+            # left to right, as math.prod multiplies
+            prod *= np.where(bits[:, i], qi, 1.0 - qi)
+        nonzero = prod > 0.0
+        bits = bits[nonzero]
+        probs = [p / keep for p in prod[nonzero].tolist()]
     else:  # fixed_subset_size
-        count = math.comb(m, rule.size)
-        for subset in itertools.combinations(range(m), rule.size):
-            bits = [0] * m
-            for i in subset:
-                bits[i] = 1
-            support.append((ActivationMask(bits), 1.0 / count))
-    marginals = [0.0] * m
-    for mask, p in support:
-        for i in mask.active:
-            marginals[i] += p
-    return MaskLaw(tuple(support), tuple(marginals))
+        subsets = np.array(list(itertools.combinations(range(m), rule.size)))
+        bits = np.zeros((len(subsets), m), dtype=np.uint8)
+        np.put_along_axis(bits, subsets, 1, axis=1)
+        probs = [1.0 / len(subsets)] * len(subsets)
+    blocks = range(m)
+    support = tuple(
+        (ActivationMask._unchecked(tuple(row),
+                                   tuple(itertools.compress(blocks, row))), p)
+        for row, p in zip(bits.tolist(), probs)
+    )
+    # a running total down each column: np.sum would add pairwise
+    weights = np.array(probs)
+    marginals = tuple(
+        min(float(np.add.accumulate(np.where(col, weights, 0.0))[-1]), 1.0)
+        for col in bits.T
+    )
+    return MaskLaw(support, marginals)
 
 
 @dataclass(frozen=True)

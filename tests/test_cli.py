@@ -551,3 +551,50 @@ def test_seeds_sharing_one_plan_match_serial_runs(tmp_path):
         sys.setswitchinterval(interval)
     for name in [f"trace_seed{s}.csv" for s in rc.seeds] + ["report.json"]:
         assert (threaded / name).read_bytes() == (serial / name).read_bytes()
+
+
+# affine 3*I declared nonexpansive: the iterate stays finite for 2000
+# iterations while its residual norm overflows to inf
+DIVERGING_KM = """
+problem:
+  kind: km
+  dims: [1, 1]
+  operator: {type: affine, matrix: [[3.0, 0.0], [0.0, 3.0]]}
+solver: {relaxation: 0.5, tolerance: 1.0e-9, max_iterations: 2000}
+sweeping: {scheme: single_block}
+seeds: [0]
+initial: {x0: [[1.0], [1.0]]}
+"""
+
+
+def _reject_constant(name):
+    raise ValueError(f"report.json holds {name}, which is not JSON")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_report_of_a_diverging_seed_is_strict_json(tmp_path):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(DIVERGING_KM)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 2
+    report = json.loads((out_dir / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    seed = report["per_seed"]["0"]
+    assert seed["final_residual"] is None
+    assert seed["termination"] == "max_iterations"
+    assert report["max_final_residual"] is None
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(bs.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, blocksweep.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blocksweep as bs
 from blocksweep import Schedule, SolverConfig
@@ -177,6 +182,145 @@ def test_identity_check_three_blocks_bernoulli():
         T, x, z, bs.independent_bernoulli([0.5, 0.5, 0.5]))
     assert rep.target_abs_err <= 1e-10
     assert rep.step_abs_err <= 1e-10
+
+
+def _law_by_pattern(rule):
+    """The exact law as a loop over patterns: bits, probabilities, marginals."""
+    m = rule.m
+    if rule.scheme == "single_block":
+        support = [(tuple(int(j == i) for j in range(m)),
+                    float(rule._block_p[i])) for i in range(m)]
+    elif rule.scheme == "independent_bernoulli":
+        q = rule.probabilities
+        keep = 1.0 - math.prod(1.0 - qi for qi in q)
+        support = []
+        for bits in itertools.product((0, 1), repeat=m):
+            if not any(bits):
+                continue
+            p = math.prod(qi if b else 1.0 - qi for qi, b in zip(q, bits))
+            if p > 0.0:
+                support.append((bits, p / keep))
+    else:
+        count = math.comb(m, rule.size)
+        support = [(tuple(int(j in s) for j in range(m)), 1.0 / count)
+                   for s in itertools.combinations(range(m), rule.size)]
+    marginals = [0.0] * m
+    for bits, p in support:
+        for i, b in enumerate(bits):
+            if b:
+                marginals[i] += p
+    return support, tuple(min(v, 1.0) for v in marginals)
+
+
+def _expected_by_pattern(support, weights, x, tx, relax, ref):
+    total = 0.0
+    for bits, p in support:
+        cand = bs.masked_update(x, bs.ActivationMask(bits), relax, tx)
+        d = bs.combine(1.0, cand, -1.0, ref)
+        total += p * bs.reduce(d, d, weights).weighted_norm_sq_x
+    return total
+
+
+def _vector(rng, dims, decades):
+    # normal entries scaled over six orders of magnitude
+    scale = 10.0 ** rng.uniform(-decades, decades, dims.total)
+    return bs.BlockVector(dims, scale * rng.standard_normal(dims.total))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batched_expansion_equals_masked_update_loop(data):
+    m = data.draw(st.integers(1, 10), label="m")
+    dims = bs.BlockDims(data.draw(st.lists(st.integers(1, 3), min_size=m,
+                                           max_size=m), label="dims"))
+    scheme = data.draw(st.sampled_from(["single_block",
+                                        "independent_bernoulli",
+                                        "fixed_subset_size"]), label="scheme")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if scheme == "single_block":
+        rule = bs.single_block(m, 10.0 ** rng.uniform(-3.0, 3.0, m))
+    elif scheme == "independent_bernoulli":
+        rule = bs.independent_bernoulli(
+            data.draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m),
+                      label="q"))
+    else:
+        rule = bs.fixed_subset_size(m, data.draw(st.integers(1, m)))
+    relax = data.draw(st.one_of(st.just(1.0),
+                                st.floats(1e-3, 1.0, exclude_max=True)),
+                      label="relax")
+
+    # the batched law equals the pattern-by-pattern enumeration
+    law = bs.mask_law(rule)
+    support, marginals = _law_by_pattern(rule)
+    assert [mask.bits for mask, _ in law.support] == [b for b, _ in support]
+    assert [p for _, p in law.support] == [p for _, p in support]
+    assert law.marginals == marginals
+    for mask, _ in law.support:
+        assert mask == bs.ActivationMask(mask.bits)
+        assert mask.active == bs.ActivationMask(mask.bits).active
+
+    d = dims.total
+    T = bs.affine_family(dims, rng.standard_normal((d, d)),
+                         _vector(rng, dims, 3.0).flat)
+    xs = [_vector(rng, dims, 3.0) for _ in range(2)]
+    z = _vector(rng, dims, 3.0)
+    weights = bs.WeightedNormSpec(marginals)
+
+    records = [bs.TraceRecord(n, 0.0, (1,) * m, relax, None, None, None, x)
+               for n, x in enumerate(xs)]
+    records.append(bs.TraceRecord(2, 0.0, (1,) * m, relax, None, None, None,
+                                  None))
+    trace = bs.IterateTrace(tuple(records), xs[-1], "max_iterations")
+    slacks = bs.expected_fejer_check(T, trace, z, rule)
+    expected = []
+    for n, x in enumerate(xs):
+        tx = T.evaluate(n, x)
+        base = bs.combine(1.0, x, -1.0, z)
+        expected.append(
+            _expected_by_pattern(support, weights, x, tx, relax, z)
+            - bs.reduce(base, base, weights).weighted_norm_sq_x)
+    assert slacks == expected
+
+    x = xs[0]
+    rep = bs.expectation_identity_check(T, x, z, rule, iteration=3)
+    tx = T.evaluate(3, x)
+    lhs_target = _expected_by_pattern(support, weights, x, tx, 1.0, z)
+    lhs_step = _expected_by_pattern(support, weights, x, tx, 1.0, x)
+    assert (rep.target_lhs, rep.step_lhs) == (lhs_target, lhs_step)
+    assert rep.target_abs_err == abs(lhs_target - rep.target_rhs)
+    assert rep.step_abs_err == abs(lhs_step - rep.step_rhs)
+
+
+def test_checks_run_when_a_marginal_rounds_above_one():
+    # 0.1 / (1 - 0.9) rounds to 1.0000000000000002 before the clamp
+    rule = bs.independent_bernoulli([0.1])
+    assert bs.mask_law(rule).marginals == (1.0,)
+    d = bs.BlockDims([2])
+    T = bs.affine_family(d, 0.5 * np.eye(2))
+    cfg = SolverConfig(sweeping=rule, relaxation=Schedule(0.5),
+                       max_iterations=5, tolerance=0.0, snapshot_stride=1,
+                       seed=0)
+    trace = bs.run_single_layer(T, cfg, bs.construct(d, [[4.0, -2.0]]))
+    z = bs.construct(d)
+    slacks = bs.expected_fejer_check(T, trace, z, rule)
+    assert len(slacks) == 5 and all(s < 0 for s in slacks)
+    rep = bs.expectation_identity_check(T, trace.final, z, rule)
+    assert rep.target_abs_err <= 1e-12 and rep.step_abs_err <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_expansion_rejects_mismatched_and_non_finite_points():
+    d = bs.BlockDims([1, 2])
+    T = bs.affine_family(d, 0.5 * np.eye(3))
+    rule = bs.independent_bernoulli([0.5, 0.5])
+    z = bs.construct(d)
+    with pytest.raises(bs.ShapeError, match="rule must cover"):
+        bs.expectation_identity_check(T, z, z, bs.single_block(3))
+    # x - z overflows in block 0, which some patterns leave inactive
+    x = bs.construct(d, [[1e308], [0.0, 0.0]])
+    z = bs.construct(d, [[-1e308], [0.0, 0.0]])
+    with pytest.raises(bs.ShapeError, match="must be finite"):
+        bs.expectation_identity_check(T, x, z, rule)
 
 
 # ---------------------------------------------------------------------------

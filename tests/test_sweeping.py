@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksweep import (
+    ActivationMask,
     BlockDims,
     CapacityError,
     ErrorModel,
@@ -213,3 +214,43 @@ def test_single_block_draws_equal_generator_choice(m, weight_seed, seed, n):
     mask = sample_mask(rule, n, seed)
     assert mask.active == (i,)
     assert mask.bits == tuple(int(j == i) for j in range(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 1000),
+       scheme=st.sampled_from(["single_block", "independent_bernoulli",
+                               "fixed_subset_size"]),
+       rule_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(0, 10**6))
+def test_sampled_masks_equal_checked_masks(m, scheme, rule_seed, seed, n):
+    rng = np.random.default_rng(rule_seed)
+    if scheme == "single_block":
+        rule = single_block(m, 10.0 ** rng.uniform(-3.0, 3.0, m))
+    elif scheme == "independent_bernoulli":
+        rule = independent_bernoulli(rng.uniform(1e-3, 1.0, m))
+    else:
+        rule = fixed_subset_size(m, int(rng.integers(1, m + 1)))
+    mask = sample_mask(rule, n, seed)
+    # the same draw, built through the checking constructor
+    draw = np.random.default_rng(np.random.SeedSequence([seed, n, 0x6D61736B]))
+    if scheme == "single_block":
+        i = int(draw.choice(m, p=np.asarray(rule.weights)
+                            / np.sum(rule.weights)))
+        bits = [int(j == i) for j in range(m)]
+    elif scheme == "independent_bernoulli":
+        q = np.asarray(rule.probabilities)
+        while True:
+            hit = draw.random(m) < q
+            if hit.any():
+                break
+        bits = hit.astype(int)
+    else:
+        bits = [0] * m
+        for i in draw.choice(m, size=rule.size, replace=False):
+            bits[int(i)] = 1
+    checked = ActivationMask(bits)
+    assert mask == checked and hash(mask) == hash(checked)
+    assert repr(mask) == repr(checked)
+    assert mask.bits == checked.bits and mask.active == checked.active
+    assert all(type(b) is int for b in mask.bits)
+    assert type(mask.bits) is tuple and type(mask.active) is tuple
