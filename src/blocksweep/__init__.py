@@ -36,6 +36,7 @@ from .errors import (
     CapacityError,
     ConfigError,
     InvalidRuleError,
+    NonFiniteError,
     NumericError,
     OracleFailureError,
     ParameterError,

@@ -9,12 +9,13 @@ function, so values can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError
 
 __all__ = [
     "BlockDims",
@@ -74,23 +75,28 @@ class BlockDims:
 class BlockVector:
     """An immutable element of the product space.
 
-    Stored flat; ``block(i)`` returns a read-only view of block ``i``.
+    Stored flat; ``block(i)`` returns a read-only view of block ``i``.  The
+    constructor copies its input; the operations of this package wrap the
+    arrays they compute through ``_own`` instead, which makes the same
+    checks without the copy.
     """
 
     __slots__ = ("dims", "flat")
 
     def __init__(self, dims: BlockDims, flat: np.ndarray):
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (dims.total,):
-            raise ShapeError(
-                f"flat data has shape {flat.shape}, expected ({dims.total},)"
-            )
-        if not np.all(np.isfinite(flat)):
-            raise ShapeError("block entries must be finite")
-        flat = flat.copy()
-        flat.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "flat", flat)
+        _settle(self, dims, np.array(flat, dtype=np.float64))
+
+    @classmethod
+    def _own(cls, dims: BlockDims, flat: np.ndarray) -> "BlockVector":
+        """Wrap a freshly computed float64 array, taking ownership of it.
+
+        The array is not copied but marked read-only, so no other reference
+        to it may write to it afterwards.  Shape and finiteness are checked
+        as in the constructor.
+        """
+        vec = object.__new__(cls)
+        _settle(vec, dims, flat)
+        return vec
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("BlockVector is immutable")
@@ -112,6 +118,19 @@ class BlockVector:
     def __repr__(self) -> str:
         inner = ", ".join(np.array2string(b, separator=",") for b in self.blocks)
         return f"BlockVector({inner})"
+
+
+def _settle(vec: BlockVector, dims: BlockDims, flat: np.ndarray) -> None:
+    """Check ``flat`` and make it the read-only data of ``vec``."""
+    if flat.shape != (dims.total,):
+        raise ShapeError(
+            f"flat data has shape {flat.shape}, expected ({dims.total},)"
+        )
+    if not np.isfinite(flat).all():
+        raise NonFiniteError("block entries must be finite")
+    flat.setflags(write=False)
+    object.__setattr__(vec, "dims", dims)
+    object.__setattr__(vec, "flat", flat)
 
 
 @dataclass(frozen=True)
@@ -184,7 +203,7 @@ class ReduceResult(NamedTuple):
 def construct(dims: BlockDims, init: Sequence[Sequence[float]] | None = None) -> BlockVector:
     """Build a block vector from per-block data, or the zero vector."""
     if init is None:
-        return BlockVector(dims, np.zeros(dims.total))
+        return BlockVector._own(dims, np.zeros(dims.total))
     if len(init) != dims.m:
         raise ShapeError(f"expected {dims.m} blocks of data, got {len(init)}")
     parts = []
@@ -195,7 +214,7 @@ def construct(dims: BlockDims, init: Sequence[Sequence[float]] | None = None) ->
                 f"block {i} has shape {arr.shape}, expected ({dims.dims[i]},)"
             )
         parts.append(arr)
-    return BlockVector(dims, np.concatenate(parts))
+    return BlockVector._own(dims, np.concatenate(parts))
 
 
 def _check_same_dims(x: BlockVector, y: BlockVector) -> None:
@@ -206,7 +225,7 @@ def _check_same_dims(x: BlockVector, y: BlockVector) -> None:
 def combine(a: float, x: BlockVector, b: float, y: BlockVector) -> BlockVector:
     """Blockwise linear combination ``a*x + b*y``."""
     _check_same_dims(x, y)
-    return BlockVector(x.dims, a * x.flat + b * y.flat)
+    return BlockVector._own(x.dims, a * x.flat + b * y.flat)
 
 
 def reduce(
@@ -250,17 +269,30 @@ def masked_update(
     _check_same_dims(x, target)
     if mask.m != x.dims.m:
         raise ShapeError(f"mask has {mask.m} bits for {x.dims.m} blocks")
-    out = x.flat.copy()
-    for i in mask.active:
-        sl = x.dims.slice(i)
+    return BlockVector._own(x.dims, _masked_flat(x.flat, mask.active, relax,
+                                                 target.flat, x.dims.offsets))
+
+
+def _masked_flat(x: np.ndarray, active, relax: float, target: np.ndarray,
+                 offsets) -> np.ndarray:
+    """``masked_update`` on flat arrays, unchecked; returns a new array."""
+    out = x.copy()
+    for i in active:
+        sl = slice(offsets[i], offsets[i + 1])
         if relax == 1.0:
-            out[sl] = target.flat[sl]
+            out[sl] = target[sl]
         else:
-            out[sl] = x.flat[sl] + relax * (target.flat[sl] - x.flat[sl])
-    return BlockVector(x.dims, out)
+            out[sl] = x[sl] + relax * (target[sl] - x[sl])
+    return out
 
 
 def distance(x: BlockVector, y: BlockVector) -> float:
     """Euclidean distance ``||x - y||`` on the product space."""
     _check_same_dims(x, y)
-    return float(np.linalg.norm(x.flat - y.flat))
+    return _distance_flat(x.flat, y.flat)
+
+
+def _distance_flat(x: np.ndarray, y: np.ndarray) -> float:
+    """``distance`` on flat arrays: the arithmetic of ``np.linalg.norm``."""
+    d = x - y
+    return math.sqrt(d.dot(d))

@@ -476,9 +476,9 @@ def _linear_coupling(spec: Mapping, dims: BlockDims, gamma: float):
         raise ConfigError("coupling matrix must act on the full space")
     norm = spectral_norm_psd(0.5 * (M + M.T))
     b_forward = CocoerciveOperator(
-        dims, lambda v: BlockVector(dims, op.apply(v.flat)),
+        dims, lambda v: BlockVector._own(dims, op.apply(v.flat)),
         1.0 / norm if norm > 0 else 1.0)
-    return (lambda v: BlockVector(dims, op.resolvent(v.flat, gamma)),
+    return (lambda v: BlockVector._own(dims, op.resolvent(v.flat, gamma)),
             b_forward)
 
 
@@ -506,7 +506,8 @@ def _linear_forward(spec: Mapping, dims: BlockDims) -> CocoerciveOperator:
         raise ConfigError("forward.matrix must be nonzero; use forward type "
                           "none instead")
     return CocoerciveOperator(
-        dims, lambda v: BlockVector(dims, M @ v.flat + offset), 1.0 / norm)
+        dims, lambda v: BlockVector._own(dims, M @ v.flat + offset),
+        1.0 / norm)
 
 
 _FORWARDS = _Table("forward", "type", {
@@ -883,11 +884,13 @@ def execute_run(
     its own ``SolverConfig`` from the cached one and runs the driver.
 
     Exit status: 0 when every seed stopped at tolerance, 2 when some seed
-    exhausted its budget, 1 on configuration or I/O errors, on an empty
-    seed list or when some seed raised.  A seed that raises is recorded as
-    ``"<Type>: <message>"`` under its ``error`` key in the report (with the
-    traceback on stderr for exceptions from outside blocksweep); the other
-    seeds' traces and the report are still written.  The report is strict
+    exhausted its budget or diverged (its trace holds the completed
+    iterations and its ``termination`` is ``"diverged"``), 1 on
+    configuration or I/O errors, on an empty seed list or when some seed
+    raised.  A seed that raises is recorded as ``"<Type>: <message>"``
+    under its ``error`` key in the report (with the traceback on stderr for
+    exceptions from outside blocksweep); the other seeds' traces and the
+    report are still written.  The report is strict
     JSON (RFC 8259): a non-finite float, such as the final residual of a
     diverged seed, is written as ``null``.
     """

@@ -32,6 +32,7 @@ from .blockspace import (
 from .errors import (
     CapabilityError,
     CapacityError,
+    NonFiniteError,
     OracleFailureError,
     ParameterError,
     ShapeError,
@@ -180,7 +181,7 @@ def _expected_weighted_sq(
     active = 1.0 * cand + -1.0 * ref.flat
     # a non-finite candidate leaves ``active`` non-finite too
     if not (np.isfinite(inactive).all() and np.isfinite(active).all()):
-        raise ShapeError("block entries must be finite")
+        raise NonFiniteError("block entries must be finite")
     off = x.dims.offsets
     norms = None
     for i, w in enumerate(weights.weights):
@@ -445,7 +446,7 @@ def _full_fb_reference(
     for _ in range(max_iterations):
         arg = x
         if B is not None:
-            arg = BlockVector(dims, x.flat - gamma * B.apply(x).flat)
+            arg = BlockVector._own(dims, x.flat - gamma * B.apply(x).flat)
         nxt = sweep.apply(arg, gamma)
         if distance(nxt, x) < tol:
             return nxt
@@ -534,7 +535,7 @@ def oracle_reference(
             H += Lm.T @ Hg @ Lm
             rhs -= Lm.T @ bg
             if np.linalg.eigvalsh(0.5 * (H + H.T)).min() > 1e-10:
-                return BlockVector(problem.dims, np.linalg.solve(H, rhs))
+                return BlockVector._own(problem.dims, np.linalg.solve(H, rhs))
         B = problem.forward()
         A = [Subdifferential(f) for f in problem.fs]
         return _full_fb_reference(A, B, problem.dims, B.theta, None,

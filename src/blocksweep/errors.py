@@ -9,6 +9,14 @@ class ShapeError(BlocksweepError, ValueError):
     """Block counts or block lengths do not match."""
 
 
+class NonFiniteError(ShapeError):
+    """A block vector would hold an infinite or NaN entry.
+
+    The drivers end a run with ``termination="diverged"`` when an iterate
+    or an operator value raises it.
+    """
+
+
 class ParameterError(BlocksweepError, ValueError):
     """A scalar parameter or schedule violates its admissible range."""
 

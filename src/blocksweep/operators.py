@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .blockspace import BlockDims, BlockVector, construct
+from .blockspace import BlockDims, BlockVector
 from .errors import (
     CapabilityError,
     NumericError,
@@ -530,7 +530,7 @@ class SeparableSweep:
                 raise ShapeError(f"block {i} has shape {arr.shape}, expected "
                                  f"({self.dims.dims[i]},)")
             out[off[i]:off[i + 1]] = arr
-        return BlockVector(self.dims, out)
+        return BlockVector._own(self.dims, out)
 
     def values(self, x: BlockVector) -> list[float]:
         """Per-block function values at ``x``, in block order."""
@@ -589,12 +589,12 @@ class LinearBlockOperator:
     def apply(self, x: BlockVector) -> BlockVector:
         if x.dims != self.source_dims:
             raise ShapeError("input dims do not match the operator source")
-        return BlockVector(self.target_dims, self.stacked @ x.flat)
+        return BlockVector._own(self.target_dims, self.stacked @ x.flat)
 
     def adjoint(self, y: BlockVector) -> BlockVector:
         if y.dims != self.target_dims:
             raise ShapeError("input dims do not match the operator target")
-        return BlockVector(self.source_dims, self.stacked.T @ y.flat)
+        return BlockVector._own(self.source_dims, self.stacked.T @ y.flat)
 
     def row_gram(self, k: int) -> np.ndarray:
         """``sum_i L_ki L_ki'`` for target block ``k`` (symmetric PSD)."""
@@ -667,10 +667,91 @@ class SmoothTerm:
     @staticmethod
     def squared_distance(center, weight: float = 1.0) -> "SmoothTerm":
         f = SquaredDistance(center, weight)
-        return SmoothTerm(
-            f.dim, lambda y: weight * (y - f.center), float(weight), f.value,
+        term = SmoothTerm(
+            f.dim, lambda y: f.weight * (y - f.center), f.weight, f.value,
             hessian=weight * np.eye(f.dim), linear=-weight * f.center,
         )
+        # the function behind the term, read by _SmoothRows to group rows
+        object.__setattr__(term, "_sq_l2", f)
+        return term
+
+
+class _SmoothRows:
+    """The smooth terms of a coupling grid, grouped once.
+
+    Rows made by ``SmoothTerm.squared_distance`` are gathered like the
+    blocks of a ``_Group``: their gradients are one elementwise expression
+    over the stacked image ``Lx`` with the weights and centers stacked
+    entry by entry, equal to the per-row calls.  Their values join one
+    expression only for rows of dim 1, where the per-row dot product is a
+    single rounded square; a longer dot product is left to BLAS, whose
+    summation order is its own.  Every other row keeps its per-row call,
+    and values are returned in row order.
+    """
+
+    def __init__(self, L: LinearBlockOperator, grads: Sequence[SmoothTerm]):
+        grads = tuple(grads)
+        tdims = L.target_dims.dims
+        if len(grads) != L.p:
+            raise ShapeError(f"need {L.p} smooth terms, got {len(grads)}")
+        for k, g in enumerate(grads):
+            if g.dim != tdims[k]:
+                raise ShapeError(f"smooth term {k} has dim {g.dim}, expected "
+                                 f"{tdims[k]}")
+        self.L, self.grads = L, grads
+        off = self.off = L.target_dims.offsets
+        sq = {k: g._sq_l2 for k, g in enumerate(grads) if hasattr(g, "_sq_l2")}
+        self.loose = [k for k in range(L.p) if k not in sq]
+        self.has_values = all(g.value is not None for g in grads)
+        idx = np.array([j for k in sq for j in range(off[k], off[k + 1])],
+                       dtype=np.intp)
+        self.idx = idx
+        if idx.size and idx[-1] + 1 - idx[0] == idx.size:
+            self.idx = slice(int(idx[0]), int(idx[-1]) + 1)
+        self.w = np.array([f.weight for f in sq.values() for _ in range(f.dim)])
+        self.center = np.array([c for f in sq.values() for c in f.center])
+        # the value rows of dim 1: entry, 0.5 * weight and center per row
+        ones = [k for k, f in sq.items() if f.dim == 1]
+        self.value_rows = ones
+        self.value_at = np.array([off[k] for k in ones], dtype=np.intp)
+        self.value_half_w = np.array([0.5 * sq[k].weight for k in ones])
+        self.value_center = np.array([sq[k].center[0] for k in ones])
+        self.value_loose = [k for k in range(L.p) if k not in ones]
+
+    def apply(self, x: BlockVector) -> BlockVector:
+        """The chain-rule gradient at ``x``."""
+        if x.dims != self.L.source_dims:
+            raise ShapeError("input dims do not match the operator source")
+        return BlockVector._own(self.L.source_dims, self.gradient(x.flat))
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """The chain-rule gradient at flat ``x``, a new array."""
+        L = self.L.stacked
+        y = L @ x
+        y.setflags(write=False)
+        g = np.empty_like(y)
+        g[self.idx] = self.w * (y[self.idx] - self.center)
+        off = self.off
+        for k in self.loose:
+            sl = slice(off[k], off[k + 1])
+            arr = np.atleast_1d(np.asarray(self.grads[k].gradient(y[sl]),
+                                           dtype=np.float64))
+            if arr.shape != (off[k + 1] - off[k],):
+                raise ShapeError(f"block {k} has shape {arr.shape}, expected "
+                                 f"({off[k + 1] - off[k]},)")
+            g[sl] = arr
+        return L.T @ g
+
+    def values(self, y: np.ndarray) -> list:
+        """Every row's value at the flat image ``y``, in row order."""
+        out = [None] * len(self.grads)
+        d = y[self.value_at] - self.value_center
+        for k, v in zip(self.value_rows, (self.value_half_w * (d * d)).tolist()):
+            out[k] = v
+        off = self.off
+        for k in self.value_loose:
+            out[k] = self.grads[k].value(y[off[k]:off[k + 1]])
+        return out
 
 
 def forward_coupling_eval(
@@ -683,17 +764,7 @@ def forward_coupling_eval(
     Evaluates the target-block images, applies every smooth gradient there,
     and pulls back through the adjoint.
     """
-    if len(grads) != L.p:
-        raise ShapeError(f"need {L.p} smooth terms, got {len(grads)}")
-    y = L.apply(x)
-    parts = []
-    for k, g in enumerate(grads):
-        yk = y.block(k)
-        if g.dim != yk.shape[0]:
-            raise ShapeError(f"smooth term {k} has dim {g.dim}, expected "
-                             f"{yk.shape[0]}")
-        parts.append(np.asarray(g.gradient(yk), dtype=np.float64))
-    return L.adjoint(construct(L.target_dims, parts))
+    return _SmoothRows(L, grads).apply(x)
 
 
 def cocoercivity_bound(L: LinearBlockOperator, taus: Sequence[float]) -> float:
@@ -735,11 +806,13 @@ class CocoerciveOperator:
 def coupling_forward_operator(
     L: LinearBlockOperator, grads: Sequence[SmoothTerm]
 ) -> CocoerciveOperator:
-    """Package the coupling gradient with its cocoercivity constant."""
+    """Package the coupling gradient with its cocoercivity constant.
+
+    The smooth rows are grouped once here, not on every evaluation.
+    """
+    rows = _SmoothRows(L, grads)
     theta = cocoercivity_bound(L, [g.lipschitz for g in grads])
-    return CocoerciveOperator(
-        L.source_dims, lambda x: forward_coupling_eval(L, grads, x), theta
-    )
+    return CocoerciveOperator(L.source_dims, rows.apply, theta)
 
 
 class GraphSubspace:
@@ -752,7 +825,7 @@ class GraphSubspace:
     def __init__(self, operator: LinearBlockOperator):
         # scipy is imported here, not at module load: only graph-coupled
         # problems pay its import time
-        from scipy.linalg import cho_factor
+        from scipy.linalg import cho_factor, get_lapack_funcs
 
         self.operator = operator
         L = operator.stacked
@@ -762,6 +835,16 @@ class GraphSubspace:
             self._g_factor = cho_factor(np.eye(g) + L @ L.T)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded
             raise NumericError(f"graph subspace factorization failed: {exc}") from exc
+        # looked up once: cho_solve looks it up and checks its inputs per call
+        self._potrs, = get_lapack_funcs(("potrs",), (self._h_factor[0],))
+
+    def _solve(self, factor, rhs: np.ndarray) -> np.ndarray:
+        """``cho_solve(factor, rhs)`` without its per-call checks."""
+        c, lower = factor
+        x, info = self._potrs(c, rhs, lower=lower)
+        if info != 0:  # pragma: no cover - only for an illegal argument
+            raise NumericError(f"potrs failed with info {info}")
+        return x
 
     @property
     def source_dims(self) -> BlockDims:
@@ -781,16 +864,16 @@ def graph_projection(
     debug mode the equivalent route through ``s = (I + LL')^{-1}(Lx - y)``,
     giving ``(x - L's, y + s)``, is asserted to agree.
     """
-    from scipy.linalg import cho_solve  # loaded by GraphSubspace already
-
     op = V.operator
     if x.dims != op.source_dims or y.dims != op.target_dims:
         raise ShapeError("projection input dims do not match the subspace")
     L = op.stacked
-    t = cho_solve(V._h_factor, x.flat + L.T @ y.flat)
+    t = V._solve(V._h_factor, x.flat + L.T @ y.flat)
     lt = L @ t
+    pair = (BlockVector._own(op.source_dims, t),
+            BlockVector._own(op.target_dims, lt))
     if __debug__:
-        s = cho_solve(V._g_factor, L @ x.flat - y.flat)
+        s = V._solve(V._g_factor, L @ x.flat - y.flat)
         alt_t = x.flat - L.T @ s
         alt_lt = y.flat + s
         scale = 1.0 + float(np.linalg.norm(x.flat)) + float(np.linalg.norm(y.flat))
@@ -798,7 +881,7 @@ def graph_projection(
             float(np.linalg.norm(t - alt_t)), float(np.linalg.norm(lt - alt_lt))
         )
         assert gap <= 1e-9 * scale, f"projector routes disagree by {gap:.3e}"
-    return BlockVector(op.source_dims, t), BlockVector(op.target_dims, lt)
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +1026,8 @@ def forward_step_family(B: CocoerciveOperator | None, gamma,
     gamma = as_schedule(gamma)
 
     def evaluate(n: int, x: BlockVector) -> BlockVector:
-        return BlockVector(B.dims, x.flat - gamma.at(n) * B.apply(x).flat)
+        return BlockVector._own(B.dims,
+                                x.flat - gamma.at(n) * B.apply(x).flat)
 
     return BlockOperatorFamily(B.dims, evaluate, "averaged",
                                gamma.scaled(1.0 / (2.0 * B.theta)))
@@ -968,7 +1052,7 @@ def affine_family(
         raise ShapeError("offset must match the total dimension")
 
     def evaluate(n: int, x: BlockVector) -> BlockVector:
-        return BlockVector(dims, S @ x.flat + c)
+        return BlockVector._own(dims, S @ x.flat + c)
 
     return BlockOperatorFamily(dims, evaluate, regularity, averaging,
                                tuple(fixed_points))

@@ -13,7 +13,18 @@ stepsize or gamma column) and its ``step(n, x, mask, relax, state)`` updates
 the active blocks only.  The relaxed drivers share one measure/step pair
 (``_km``), the splitting drivers another (``_splitting``).  Each driver
 checks its cheap preconditions in one ``_check_*`` function, which the CLI
-also calls when it parses a config.
+also calls when it parses a config; the loop itself compares no
+``BlockDims`` (the public callables it calls keep their own checks).
+
+The loop works on flat float64 arrays.  Error draws, targets, reflections,
+distances and the masked update stay arrays; a ``BlockVector`` is built
+only where a public callable takes or returns one: the iterate once per
+iteration, the values of families, sweeps and coupled resolvents, and so
+the snapshots and the final point.  Every such vector is checked to be
+finite, and a ``NonFiniteError`` from any of them ends the run with
+``termination="diverged"``: the trace keeps the completed iterations and
+``final`` is the last finite iterate.  The loop runs under one
+``np.errstate`` that keeps the overflow warnings of a diverging run quiet.
 
 Drivers
 -------
@@ -44,12 +55,12 @@ import numpy as np
 from .blockspace import (
     BlockDims,
     BlockVector,
+    _distance_flat,
+    _masked_flat,
     combine,
-    construct,
     distance,
-    masked_update,
 )
-from .errors import ParameterError, ShapeError
+from .errors import NonFiniteError, ParameterError, ShapeError
 from .operators import (
     BlockOperatorFamily,
     CocoerciveOperator,
@@ -61,13 +72,14 @@ from .operators import (
     SeparableSweep,
     SmoothTerm,
     Subdifferential,
+    _SmoothRows,
     as_schedule,
     coupling_forward_operator,
     forward_step_family,
     graph_projection,
     resolvent_family,
 )
-from .sweeping import ErrorModel, SweepingRule, sample_error, sample_mask
+from .sweeping import ErrorModel, SweepingRule, _error_flat, sample_mask
 
 __all__ = [
     "Schedule",
@@ -160,7 +172,7 @@ class TraceRecord:
 class IterateTrace:
     records: tuple[TraceRecord, ...]
     final: BlockVector
-    termination: str  # "tolerance" | "max_iterations"
+    termination: str  # "tolerance" | "max_iterations" | "diverged"
 
     @property
     def iterations(self) -> int:
@@ -300,6 +312,7 @@ class CoupledMinProblem:
         _check_terms(tuple(f.dim for f in self.fs), self.dims, "function")
         object.__setattr__(self, "_forward",
                            coupling_forward_operator(self.L, self.smooth))
+        object.__setattr__(self, "_rows", _SmoothRows(self.L, self.smooth))
         object.__setattr__(self, "resolvents", SeparableSweep(
             [Subdifferential(f) for f in self.fs], "resolvent"))
         object.__setattr__(self, "_sweep", SeparableSweep(self.fs, "prox"))
@@ -312,12 +325,11 @@ class CoupledMinProblem:
         return self._forward
 
     def objective(self, x: BlockVector) -> float | None:
-        if any(g.value is None for g in self.smooth):
+        if not self._rows.has_values:
             return None
-        # grouped per-block values, added in block order as a per-block loop
+        # grouped per-block and per-row values, added in order as one loop
         total = sum(self._sweep.values(x))
-        y = self.L.apply(x)
-        total += sum(g.value(y.block(k)) for k, g in enumerate(self.smooth))
+        total += sum(self._rows.values(self.L.stacked @ x.flat))
         return float(total)
 
 
@@ -370,13 +382,14 @@ def _check_rule(rule: SweepingRule, m: int, context: str) -> None:
 
 def _error_sampler(
     cfg: SolverConfig, slot: str, dims: BlockDims
-) -> Callable[[int], BlockVector] | None:
+) -> Callable[[int], np.ndarray] | None:
+    """The slot's error draws as flat arrays, or None when it is error-free."""
     model = cfg.errors.get(slot)
     if model is None or model.kind == "none":
         return None
     stream = _SLOT_STREAMS[slot]
-    seed = cfg.seed
-    return lambda n: sample_error(model, dims, n, seed, stream=stream)
+    seed, d = cfg.seed, dims.total
+    return lambda n: _error_flat(model, d, n, seed, stream)
 
 
 def _paired_error_sampler(
@@ -385,20 +398,27 @@ def _paired_error_sampler(
     slot_second: str,
     first_dims: BlockDims,
     second_dims: BlockDims,
-    paired_dims: BlockDims,
-) -> Callable[[int], BlockVector] | None:
+) -> Callable[[int], np.ndarray] | None:
     """Concatenate two slot samplers over a paired space."""
     first = _error_sampler(cfg, slot_first, first_dims)
     second = _error_sampler(cfg, slot_second, second_dims)
     if first is None and second is None:
         return None
 
-    def sample(n: int) -> BlockVector:
-        f = first(n).flat if first else np.zeros(first_dims.total)
-        s = second(n).flat if second else np.zeros(second_dims.total)
-        return BlockVector(paired_dims, np.concatenate([f, s]))
+    def sample(n: int) -> np.ndarray:
+        f = first(n) if first else np.zeros(first_dims.total)
+        s = second(n) if second else np.zeros(second_dims.total)
+        return np.concatenate([f, s])
 
     return sample
+
+
+def _data(v: BlockVector, total: int) -> np.ndarray:
+    """The flat data of an operator's value, checked against the iterate."""
+    if v.flat.shape != (total,):
+        raise ShapeError(f"operator value has {v.flat.shape[0]} entries, "
+                         f"expected {total}")
+    return v.flat
 
 
 def _engine(
@@ -406,31 +426,38 @@ def _engine(
     x0: BlockVector,
     relaxation: Schedule,
     measure: Callable[[int, BlockVector], tuple],
-    step: Callable[..., BlockVector],
+    step: Callable[..., np.ndarray],
 ) -> IterateTrace:
     """The iteration loop of every driver; see the module docstring.
 
     ``measure`` returns ``(residual, stepsize, distance, objective, state)``
-    and ``state`` is handed on to ``step``.
+    and ``state`` is handed on to ``step``, which gets the flat data of the
+    iterate and returns the next one as a new array.
     """
     records: list[TraceRecord] = []
     x = x0
     termination = "max_iterations"
-    for n in range(cfg.max_iterations):
-        residual, g, dist, obj, state = measure(n, x)
-        if residual < cfg.tolerance:
-            records.append(
-                TraceRecord(n, residual, None, None, g, dist, obj, None)
-            )
-            termination = "tolerance"
-            break
-        mask = sample_mask(cfg.sweeping, n, cfg.seed)
-        relax = relaxation.at(n)
-        snap = x if n % cfg.snapshot_stride == 0 else None
-        records.append(
-            TraceRecord(n, residual, mask.bits, relax, g, dist, obj, snap)
-        )
-        x = step(n, x, mask, relax, state)
+    try:
+        with np.errstate(all="ignore"):
+            for n in range(cfg.max_iterations):
+                residual, g, dist, obj, state = measure(n, x)
+                if residual < cfg.tolerance:
+                    records.append(
+                        TraceRecord(n, residual, None, None, g, dist, obj, None)
+                    )
+                    termination = "tolerance"
+                    break
+                mask = sample_mask(cfg.sweeping, n, cfg.seed)
+                relax = relaxation.at(n)
+                nxt = BlockVector._own(x.dims, step(n, x.flat, mask, relax,
+                                                    state))
+                snap = x if n % cfg.snapshot_stride == 0 else None
+                records.append(
+                    TraceRecord(n, residual, mask.bits, relax, g, dist, obj, snap)
+                )
+                x = nxt
+    except NonFiniteError:
+        termination = "diverged"
     return IterateTrace(tuple(records), x, termination)
 
 
@@ -438,26 +465,27 @@ def _km(
     cfg: SolverConfig,
     x0: BlockVector,
     target_fn: Callable[[int, BlockVector], BlockVector],
-    sampler_a: Callable[[int], BlockVector] | None,
+    sampler_a: Callable[[int], np.ndarray] | None,
     objective_fn: Callable[[BlockVector], float] | None = None,
     stepsize: Schedule | None = None,
 ) -> IterateTrace:
     """Relax the active blocks toward ``target_fn(n, x) + a_n``."""
-    ref = cfg.reference
+    ref = cfg.reference.flat if cfg.reference is not None else None
+    d, offsets = x0.dims.total, x0.dims.offsets
 
     def measure(n: int, x: BlockVector) -> tuple:
-        target = target_fn(n, x)
-        return (distance(target, x),
+        target = _data(target_fn(n, x), d)
+        return (_distance_flat(target, x.flat),
                 stepsize.at(n) if stepsize is not None else None,
-                distance(x, ref) if ref is not None else None,
+                _distance_flat(x.flat, ref) if ref is not None else None,
                 objective_fn(x) if objective_fn else None,
                 target)
 
-    def step(n: int, x: BlockVector, mask, lam: float,
-             target: BlockVector) -> BlockVector:
+    def step(n: int, x: np.ndarray, mask, lam: float,
+             target: np.ndarray) -> np.ndarray:
         if sampler_a is not None:
-            target = combine(1.0, target, 1.0, sampler_a(n))
-        return masked_update(x, mask, lam, target)
+            target = target + sampler_a(n)
+        return _masked_flat(x, mask.active, lam, target, offsets)
 
     return _engine(cfg, x0, cfg.relaxation, measure, step)
 
@@ -465,46 +493,47 @@ def _km(
 def _splitting(
     cfg: SolverConfig,
     x0: BlockVector,
-    z0: BlockVector,
     sweep: SeparableSweep,
-    jb: Callable[[BlockVector], BlockVector],
+    jb: Callable[[BlockVector], np.ndarray],
     gamma: float,
-    sampler_a: Callable[[int], BlockVector] | None,
-    sampler_b: Callable[[int], BlockVector] | None,
-    primal: Callable[[BlockVector], BlockVector],
+    sampler_a: Callable[[int], np.ndarray] | None,
+    sampler_b: Callable[[int], np.ndarray] | None,
+    primal: Callable[[np.ndarray], np.ndarray],
 ) -> IterateTrace:
-    """The splitting step of ``run_dr`` and ``run_pd_dr``, holding ``z``.
+    """The splitting step of ``run_dr`` and ``run_pd_dr``.
 
-    The distance to the reference is measured at ``primal(jb(x))``.
+    ``jb`` gives the flat data of the coupled resolvent at the iterate.  The
+    shadow state ``z = jb(x) + b_n`` is read only on the active blocks,
+    which are exactly the blocks it refreshes, so it is formed there and
+    not carried between iterations.  The distance to the reference is
+    measured at ``primal(jb(x))``.
     """
-    dims = x0.dims
     A_ops = sweep.terms
-    ref = cfg.reference
-    z = z0
+    offsets = x0.dims.offsets
+    ref = cfg.reference.flat if cfg.reference is not None else None
 
     def measure(n: int, x: BlockVector) -> tuple:
         q = jb(x)
-        ja = sweep.apply(combine(2.0, q, -1.0, x), gamma)
-        return (2.0 * distance(ja, q), gamma,
-                distance(primal(q), ref) if ref is not None else None,
+        ja = sweep.apply(BlockVector._own(x.dims, 2.0 * q - x.flat),
+                         gamma).flat
+        return (2.0 * _distance_flat(ja, q), gamma,
+                _distance_flat(primal(q), ref) if ref is not None else None,
                 None, q)
 
-    def step(n: int, x: BlockVector, mask, mu: float,
-             q: BlockVector) -> BlockVector:
-        nonlocal z
-        zt = q if sampler_b is None else combine(1.0, q, 1.0, sampler_b(n))
-        z = masked_update(z, mask, 1.0, zt)
+    def step(n: int, x: np.ndarray, mask, mu: float,
+             q: np.ndarray) -> np.ndarray:
+        b_n = sampler_b(n) if sampler_b is not None else None
         a_n = sampler_a(n) if sampler_a is not None else None
-        out = x.flat.copy()
+        out = x.copy()
         for i in mask.active:
-            sl = dims.slice(i)
-            arg = 2.0 * z.flat[sl] - x.flat[sl]
-            ji = A_ops[i].resolvent(arg, gamma)
-            delta = ji - z.flat[sl]
+            sl = slice(offsets[i], offsets[i + 1])
+            z = q[sl] if b_n is None else q[sl] + b_n[sl]
+            ji = A_ops[i].resolvent(2.0 * z - x[sl], gamma)
+            delta = ji - z
             if a_n is not None:
-                delta = delta + a_n.flat[sl]
-            out[sl] = x.flat[sl] + mu * delta
-        return BlockVector(dims, out)
+                delta = delta + a_n[sl]
+            out[sl] = x[sl] + mu * delta
+        return out
 
     return _engine(cfg, x0, cfg.dr_relaxation, measure, step)
 
@@ -582,12 +611,16 @@ def run_double_layer(
     sampler; ``stepsize_for_trace`` only fills the trace stepsize column.
     """
     _check_double_layer(T, R, cfg, x0)
-    sampler_b = inner_error_sampler or _error_sampler(cfg, "b", R.dims)
+    dims = x0.dims
+    sampler_b = _error_sampler(cfg, "b", R.dims)
+    if inner_error_sampler is not None:
+        def sampler_b(n: int) -> np.ndarray:
+            return _data(inner_error_sampler(n), dims.total)
 
     def target_fn(n: int, x: BlockVector) -> BlockVector:
         y = R.evaluate(n, x)
         if sampler_b is not None:
-            y = combine(1.0, y, 1.0, sampler_b(n))
+            y = BlockVector._own(dims, _data(y, dims.total) + sampler_b(n))
         return T.evaluate(n, y)
 
     return _km(cfg, x0, target_fn, _error_sampler(cfg, "a", T.dims),
@@ -661,7 +694,9 @@ def run_dr(
     coupled resolvent, ``z_i <- Q_i(x) + b_i``, and then relaxes
     ``x_i <- x_i + mu_n (J_{gamma A_i}(2 z_i - x_i) + a_i - z_i)``, reading
     the already refreshed ``z_i``.  The coupled resolvent is always evaluated
-    on the full vector and sliced.
+    on the full vector and sliced.  Since only refreshed blocks of ``z`` are
+    ever read, ``z0`` is checked against the iterate but does not change
+    the run.
 
     Returns the trace of the governing sequence together with the primal
     point ``z = JB(x_final)`` and the dual point ``(x_final - z) / gamma``.
@@ -675,7 +710,7 @@ def run_dr(
     if check_resolvent:
         _spot_check_resolvent(JB, dims)
     trace = _splitting(
-        cfg, x0, z0 if z0 is not None else construct(dims), A, JB, gamma,
+        cfg, x0, A, lambda v: _data(JB(v), dims.total), gamma,
         _error_sampler(cfg, "a", dims), _error_sampler(cfg, "b", dims),
         lambda q: q,
     )
@@ -737,13 +772,13 @@ def assemble_pd_problem(
 
 def _split_pair(v: BlockVector, h: BlockDims, g: BlockDims) -> tuple[BlockVector, BlockVector]:
     return (
-        BlockVector(h, v.flat[: h.total]),
-        BlockVector(g, v.flat[h.total:]),
+        BlockVector._own(h, v.flat[: h.total].copy()),
+        BlockVector._own(g, v.flat[h.total:].copy()),
     )
 
 
 def _join_pair(x: BlockVector, y: BlockVector, k: BlockDims) -> BlockVector:
-    return BlockVector(k, np.concatenate([x.flat, y.flat]))
+    return BlockVector._own(k, np.concatenate([x.flat, y.flat]))
 
 
 def run_pd_dr(
@@ -762,20 +797,19 @@ def run_pd_dr(
     resolvent is the graph projector.  The shadow states track the projector
     refresh of the governing state, so the reported primal point is the
     primal part of the final refresh and the reported dual point is
-    ``(w - y_final) / gamma`` with ``w`` its image part.
+    ``(w - y_final) / gamma`` with ``w`` its image part.  As in ``run_dr``,
+    ``z0`` and ``w0`` are checked but do not change the run.
     """
     h, g, k = problem.h_dims, problem.g_dims, problem.k_dims
     _check_pd_dr(problem, gamma, cfg, x0, z0, y0, w0)
     y0 = y0 if y0 is not None else problem.L.apply(x0)
-    z0 = z0 if z0 is not None else construct(h)
-    w0 = w0 if w0 is not None else construct(g)
 
     trace = _splitting(
-        cfg, _join_pair(x0, y0, k), _join_pair(z0, w0, k),
-        problem.resolvents, problem.project, gamma,
-        _paired_error_sampler(cfg, "a", "b", h, g, k),
-        _paired_error_sampler(cfg, "c", "d", h, g, k),
-        lambda q: _split_pair(q, h, g)[0],
+        cfg, _join_pair(x0, y0, k), problem.resolvents,
+        lambda v: problem.project(v).flat, gamma,
+        _paired_error_sampler(cfg, "a", "b", h, g),
+        _paired_error_sampler(cfg, "c", "d", h, g),
+        lambda q: q[:h.total],
     )
     z_final, w_final = _split_pair(problem.project(trace.final), h, g)
     _, y_final = _split_pair(trace.final, h, g)
@@ -856,7 +890,7 @@ def run_fb(
     if sampler_c is not None:
         # the forward perturbation c enters through the step as -gamma_n * c
         def inner_sampler(n: int) -> BlockVector:
-            return BlockVector(dims, (-gamma.at(n)) * sampler_c(n).flat)
+            return BlockVector._own(dims, (-gamma.at(n)) * sampler_c(n))
 
     layer_cfg = replace(
         cfg, errors={k: v for k, v in cfg.errors.items() if k == "a"}

@@ -93,6 +93,9 @@ class SweepingRule:
                     "independent_bernoulli probabilities must lie in (0, 1]; "
                     "a zero entry would give that block a zero marginal"
                 )
+            q = np.array(q, dtype=np.float64)
+            q.setflags(write=False)
+            object.__setattr__(self, "_bernoulli_q", q)
         elif self.scheme == "fixed_subset_size":
             s = self.size
             if s is None or not (1 <= s <= self.m):
@@ -118,9 +121,13 @@ def fixed_subset_size(m: int, size: int) -> SweepingRule:
 
 
 def _rng(seed: int, iteration: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([int(seed) & 0xFFFFFFFF, int(iteration), stream])
-    )
+    key = [int(seed) & 0xFFFFFFFF, int(iteration), stream]
+    if 0 <= key[1] <= 0xFFFFFFFF and 0 <= stream <= 0xFFFFFFFF:
+        # SeedSequence makes one uint32 word of each entry below 2**32, so
+        # a uint32 array of them seeds the same state without converting
+        # entry by entry
+        key = np.array(key, dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 def sample_mask(rule: SweepingRule, iteration: int, seed: int) -> ActivationMask:
@@ -138,13 +145,12 @@ def sample_mask(rule: SweepingRule, iteration: int, seed: int) -> ActivationMask
         return ActivationMask._unchecked((0,) * i + (1,) + (0,) * (m - i - 1),
                                          (i,))
     if rule.scheme == "independent_bernoulli":
-        q = np.asarray(rule.probabilities)
         while True:
-            hit = rng.random(m) < q
-            if hit.any():
+            bits = tuple((rng.random(m) < rule._bernoulli_q).view(np.uint8)
+                         .tolist())
+            if 1 in bits:
                 return ActivationMask._unchecked(
-                    tuple(hit.view(np.uint8).tolist()),
-                    tuple(np.flatnonzero(hit).tolist()))
+                    bits, tuple(itertools.compress(range(m), bits)))
     # fixed_subset_size
     active = tuple(sorted(rng.choice(m, size=rule.size, replace=False).tolist()))
     bits = [0] * m
@@ -254,15 +260,21 @@ def sample_error(
     Deterministic given ``(model, dims, iteration, seed, stream)``.  Distinct
     slots use distinct streams so their draws are independent.
     """
-    d = dims.total
+    return BlockVector._own(dims, _error_flat(model, dims.total, iteration,
+                                              seed, stream))
+
+
+def _error_flat(model: ErrorModel, d: int, iteration: int, seed: int,
+                stream: int) -> np.ndarray:
+    """The flat data of ``sample_error``, a new array of length ``d``."""
     if model.kind == "none":
-        return BlockVector(dims, np.zeros(d))
+        return np.zeros(d)
     if model.kind == "deterministic_decay":
         direction = np.full(d, 1.0 / math.sqrt(d))
-        return BlockVector(dims, (model.scale * model.decay**iteration) * direction)
+        return (model.scale * model.decay**iteration) * direction
     rng = _rng(seed, iteration, _ERROR_STREAM + stream)
     sigma = model.scale * model.decay**iteration
-    return BlockVector(dims, sigma * rng.standard_normal(d))
+    return sigma * rng.standard_normal(d)
 
 
 def error_norm_series(model: ErrorModel, dims: BlockDims) -> float:

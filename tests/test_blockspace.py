@@ -7,6 +7,7 @@ from blocksweep import (
     ActivationMask,
     BlockDims,
     BlockVector,
+    NonFiniteError,
     ShapeError,
     WeightedNormSpec,
     combine,
@@ -226,3 +227,75 @@ def test_activation_mask_active_equals_enumerate(bits):
     mask = ActivationMask(bits)
     assert mask.bits == tuple(bits)
     assert mask.active == tuple(i for i, b in enumerate(mask.bits) if b)
+
+
+FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def vectors_and_mask(draw):
+    dims = BlockDims(draw(st.lists(st.integers(1, 4), min_size=1,
+                                   max_size=8)))
+    x, target = (BlockVector(dims, np.array(draw(st.lists(
+        FINITE, min_size=dims.total, max_size=dims.total))))
+        for _ in range(2))
+    bits = draw(st.lists(st.integers(0, 1), min_size=dims.m,
+                         max_size=dims.m).filter(lambda b: 1 in b))
+    return x, target, ActivationMask(bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vectors_and_mask(), st.sampled_from([1.0, 0.5, 0.3, 1.7]))
+def test_masked_update_leaves_every_inactive_block_bit_identical(case, relax):
+    x, target, mask = case
+    out = masked_update(x, mask, relax, target)
+    for i in range(x.dims.m):
+        if i in mask.active:
+            expected = (target.block(i) if relax == 1.0 else
+                        x.block(i) + relax * (target.block(i) - x.block(i)))
+            assert np.array_equal(out.block(i), expected)
+        else:
+            assert out.block(i).tobytes() == x.block(i).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(min_value=-1e150, max_value=1e150,
+                          allow_nan=False), min_size=1, max_size=40),
+       st.integers(0, 2**32 - 1))
+def test_distance_is_bitwise_the_numpy_norm(values, seed):
+    d = BlockDims([len(values)])
+    x = construct(d, [values])
+    y = BlockVector(d, np.random.default_rng(seed).standard_normal(d.total))
+    got = distance(x, y)
+    assert type(got) is float
+    assert got == float(np.linalg.norm(x.flat - y.flat))
+
+
+def test_combine_and_masked_update_own_fresh_read_only_arrays():
+    d = BlockDims([2, 1])
+    x = construct(d, [[1.0, 2.0], [3.0]])
+    y = construct(d, [[4.0, 5.0], [6.0]])
+    mask = ActivationMask((1, 0))
+    for out in (combine(2.0, x, -1.0, y), masked_update(x, mask, 1.0, y),
+                masked_update(x, mask, 0.5, y)):
+        assert not out.flat.flags.writeable
+        assert not np.shares_memory(out.flat, x.flat)
+        assert not np.shares_memory(out.flat, y.flat)
+    # the public constructor still copies its input
+    data = np.array([1.0, 2.0, 3.0])
+    v = BlockVector(d, data)
+    assert data.flags.writeable and not np.shares_memory(v.flat, data)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_results_raise_non_finite_error():
+    assert issubclass(NonFiniteError, ShapeError)
+    d = BlockDims([1, 1])
+    x = construct(d, [[1e308], [0.0]])
+    with pytest.raises(NonFiniteError, match="must be finite"):
+        combine(10.0, x, 1.0, x)
+    with pytest.raises(NonFiniteError, match="must be finite"):
+        masked_update(x, ActivationMask((1, 0)), 2.0,
+                      construct(d, [[-1e308], [0.0]]))
+    with pytest.raises(NonFiniteError, match="must be finite"):
+        BlockVector(d, [np.nan, 0.0])

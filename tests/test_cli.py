@@ -598,3 +598,30 @@ def test_importing_the_cli_does_not_load_scipy():
          "import sys, blocksweep.cli; print('scipy' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_a_diverging_seed_is_reported_with_its_partial_trace(tmp_path):
+    import subprocess
+    import sys
+
+    # the config above without its iteration budget: the iterate overflows
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(DIVERGING_KM.replace(", max_iterations: 2000", ""))
+    out_dir = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(bs.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-m", "blocksweep.cli", "run", str(cfg_path),
+         "--out", str(out_dir)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2
+    assert run.stderr == ""  # no numpy overflow warning either
+    report = json.loads((out_dir / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    seed = report["per_seed"]["0"]
+    assert seed["termination"] == "diverged"
+    assert not seed["reached_tolerance"]
+    rows = (out_dir / "trace_seed0.csv").read_text().splitlines()
+    assert len(rows) == seed["iterations"] + 1 > 1000

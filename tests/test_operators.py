@@ -331,3 +331,63 @@ def test_family_validation():
         bs.BlockOperatorFamily(d, lambda n, x: x, "bogus")
     with pytest.raises(bs.ParameterError):
         bs.BlockOperatorFamily(d, lambda n, x: x, "averaged")
+
+
+# ---------------------------------------------------------------------------
+# values wrapped without a copy
+# ---------------------------------------------------------------------------
+
+
+def _fresh(out, *inputs):
+    assert not out.flat.flags.writeable
+    for v in inputs:
+        assert not np.shares_memory(out.flat, v.flat)
+
+
+def test_operator_values_are_fresh_read_only_arrays():
+    rng = np.random.default_rng(11)
+    d = bs.BlockDims([2, 1])
+    x = bs.BlockVector(d, rng.standard_normal(3))
+    L = bs.LinearBlockOperator([[rng.standard_normal((2, 2)),
+                                 rng.standard_normal((2, 1))]])
+    y = L.apply(x)
+    _fresh(y, x)
+    _fresh(L.adjoint(y), y)
+    V = bs.GraphSubspace(L)
+    t, lt = bs.graph_projection(V, x, y)
+    _fresh(t, x, y)
+    _fresh(lt, x, y)
+    sweep = bs.operators.SeparableSweep(
+        [bs.L1Norm(2, 0.3), bs.Quadratic(np.eye(1), [0.5])], "prox")
+    _fresh(sweep.apply(x, 0.7), x)
+    # the grouped zero kernel returns its input slice; the sweep copies it
+    _fresh(bs.prox_family([bs.Zero(2), bs.Zero(1)], 1.0).evaluate(0, x), x)
+    smooth = [bs.SmoothTerm.squared_distance(rng.standard_normal(2))]
+    B = bs.coupling_forward_operator(L, smooth)
+    families = [
+        bs.prox_family([bs.L1Norm(2), bs.SquaredDistance([0.1])], 0.5),
+        bs.resolvent_family([bs.BoxNormalCone([-1, -1], [1, 1]),
+                             bs.LinearMonotone([[2.0]])], 0.5),
+        bs.forward_step_family(B, 0.5 * B.theta),
+        bs.affine_family(d, 0.5 * np.eye(3), [1.0, 2.0, 3.0]),
+        bs.box_projection_family([-1, -1, -1], [1, 1, 1], d),
+    ]
+    for family in families:
+        _fresh(family.evaluate(0, x), x)
+    _fresh(B.apply(x), x)
+    _fresh(bs.forward_coupling_eval(L, smooth, x), x)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_operator_values_raise_non_finite_error():
+    d = bs.BlockDims([1, 1])
+    huge = bs.construct(d, [[1e200], [1e200]])
+    with pytest.raises(bs.NonFiniteError, match="must be finite"):
+        bs.affine_family(d, 1e200 * np.eye(2)).evaluate(0, huge)
+    L = bs.LinearBlockOperator([[np.array([[2.0]]), np.array([[3.0]])]])
+    big = bs.construct(d, [[1e308], [1e308]])
+    with pytest.raises(bs.NonFiniteError, match="must be finite"):
+        L.apply(big)
+    with pytest.raises(bs.NonFiniteError, match="must be finite"):
+        bs.graph_projection(bs.GraphSubspace(L), big,
+                            bs.construct(L.target_dims, [[1e308]]))

@@ -216,3 +216,39 @@ def test_dr_trace_matches_loop(monkeypatch):
     looped = run()
     assert grouped[0] == looped[0]
     assert np.array_equal(grouped[1], looped[1])
+
+
+SMOOTH_ROWS = st.lists(st.tuples(st.sampled_from(("sq_l2", "quadratic")),
+                                 st.integers(1, 3)), min_size=1, max_size=8)
+
+
+def make_smooth(kind, dim, rng):
+    if kind == "sq_l2":
+        return bs.SmoothTerm.squared_distance(
+            rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 3),
+            float(rng.uniform(0.1, 3.0)))
+    a = rng.standard_normal((dim, dim))
+    return bs.SmoothTerm.quadratic(a @ a.T, rng.standard_normal(dim))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=SMOOTH_ROWS, cols=st.lists(st.integers(1, 3), min_size=1,
+                                       max_size=5), seed=SEED)
+def test_grouped_smooth_rows_match_row_loop(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    smooth = tuple(make_smooth(kind, dim, rng) for kind, dim in rows)
+    L = bs.LinearBlockOperator([[rng.standard_normal((dim, c)) for c in cols]
+                                for _, dim in rows])
+    fs = tuple(bs.L1Norm(c, 0.5) for c in cols)
+    problem = CoupledMinProblem(fs, smooth, L)
+    x = point(L.source_dims, rng)
+    # the per-row loop: one gradient and one value call per smooth row
+    y = L.apply(x)
+    grads = [g.gradient(y.block(k)) for k, g in enumerate(smooth)]
+    expected = L.adjoint(bs.construct(L.target_dims, grads))
+    assert np.array_equal(bs.forward_coupling_eval(L, smooth, x).flat,
+                          expected.flat)
+    assert np.array_equal(problem.forward().apply(x).flat, expected.flat)
+    total = sum(LoopSweep(fs, "prox").values(x))
+    total += sum(g.value(y.block(k)) for k, g in enumerate(smooth))
+    assert problem.objective(x) == float(total)

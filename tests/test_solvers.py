@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -697,3 +698,88 @@ def test_each_driver_step_keeps_inactive_blocks_bit_identical(seed):
     _assert_inactive_kept(
         trace, bs.BlockVector(problem.k_dims,
                               np.concatenate([xh.flat, yg.flat])))
+
+
+# ---------------------------------------------------------------------------
+# the splitting step, block by block
+# ---------------------------------------------------------------------------
+
+
+def _split_operator(i, dim, rng):
+    kind = i % 4
+    if kind == 0:
+        return bs.Subdifferential(bs.L1Norm(dim, 0.3))
+    if kind == 1:
+        return bs.BoxNormalCone(-np.ones(dim), np.ones(dim))
+    a = rng.standard_normal((dim, dim))
+    if kind == 2:
+        return bs.LinearMonotone(a @ a.T + a - a.T, rng.standard_normal(dim))
+    return bs.Subdifferential(bs.Quadratic(a @ a.T, rng.standard_normal(dim)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_splitting_step_matches_per_block_resolvent_loop(dims, seed):
+    rng = np.random.default_rng(seed)
+    d = bs.BlockDims(dims)
+    A = [_split_operator(i, dim, rng) for i, dim in enumerate(dims)]
+    S = rng.standard_normal((d.total, d.total))
+    coupling = bs.LinearMonotone(S @ S.T, rng.standard_normal(d.total))
+    gamma, mu = 0.8, 1.2
+    jb = lambda v: bs.BlockVector(d, coupling.resolvent(v.flat, gamma))
+    model_a = bs.ErrorModel("gaussian_decay", 0.1, 0.8)
+    model_b = bs.ErrorModel("gaussian_decay", 0.2, 0.9)
+    cfg = SolverConfig(sweeping=bs.independent_bernoulli([0.6] * d.m),
+                       dr_relaxation=Schedule(mu), max_iterations=8,
+                       tolerance=0.0, snapshot_stride=1, seed=seed,
+                       errors={"a": model_a, "b": model_b})
+    x0 = bs.BlockVector(d, rng.standard_normal(d.total))
+    # the shadow state's start is overwritten before it is ever read
+    z0 = bs.BlockVector(d, rng.standard_normal(d.total))
+    trace, _ = bs.run_dr(A, jb, gamma, cfg, x0, z0, check_resolvent=False)
+    assert trace == bs.run_dr(A, jb, gamma, cfg, x0,
+                              check_resolvent=False)[0]
+    xs = trace.snapshots()
+    assert len(trace.records) == 8 and len(xs) == 9
+    for n, record in enumerate(trace.records):
+        x, nxt = xs[n].flat, xs[n + 1].flat
+        q = jb(xs[n]).flat
+        a = bs.sample_error(model_a, d, n, seed, stream=1).flat
+        b = bs.sample_error(model_b, d, n, seed, stream=2).flat
+        for i, bit in enumerate(record.mask):
+            sl = d.slice(i)
+            if not bit:
+                assert nxt[sl].tobytes() == x[sl].tobytes()
+                continue
+            z = q[sl] + b[sl]
+            ji = A[i].resolvent(2.0 * z - x[sl], gamma)
+            assert np.array_equal(nxt[sl], x[sl] + mu * (ji - z + a[sl]))
+
+
+# ---------------------------------------------------------------------------
+# divergence
+# ---------------------------------------------------------------------------
+
+
+def test_divergence_ends_the_run_and_keeps_its_trace():
+    d = bs.BlockDims([1, 1])
+    T = bs.affine_family(d, 3.0 * np.eye(2))
+    x0 = bs.construct(d, [[1.0], [1.0]])
+    cfg = cfg_for(2, relaxation=Schedule(0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning escapes
+        trace = bs.run_single_layer(T, cfg, x0)
+    assert trace.termination == "diverged"
+    # every block doubles when active, so 3x overflows after ~2000 steps
+    assert 1000 < trace.iterations == len(trace.records) < 4000
+    assert all(r.mask is not None for r in trace.records)
+    # the final point is the last finite iterate of the recorded steps
+    x = x0
+    for r in trace.records:
+        x = bs.masked_update(x, bs.ActivationMask(r.mask), r.relaxation,
+                             T.evaluate(r.n, x))
+    assert x == trace.final
+    with np.errstate(over="ignore"), \
+            pytest.raises(bs.NonFiniteError, match="must be finite"):
+        T.evaluate(0, trace.final)

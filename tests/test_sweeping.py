@@ -18,6 +18,7 @@ from blocksweep import (
     sample_error,
     sample_mask,
     single_block,
+    sweeping,
 )
 
 
@@ -254,3 +255,17 @@ def test_sampled_masks_equal_checked_masks(m, scheme, rule_seed, seed, n):
     assert mask.bits == checked.bits and mask.active == checked.active
     assert all(type(b) is int for b in mask.bits)
     assert type(mask.bits) is tuple and type(mask.active) is tuple
+
+
+WORD = st.integers(0, 2**32 - 1)
+WIDE = st.integers(2**32, 2**80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(-2**80, 2**80), n=st.one_of(WORD, WIDE),
+       stream=st.one_of(WORD, WIDE))
+def test_draw_generators_are_seeded_from_the_key_list(seed, n, stream):
+    want = np.random.default_rng(
+        np.random.SeedSequence([seed & 0xFFFFFFFF, n, stream]))
+    got = sweeping._rng(seed, n, stream)
+    assert got.bit_generator.state == want.bit_generator.state
