@@ -82,7 +82,6 @@ directory.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -414,25 +413,14 @@ _COUPLED_SMOOTH = {"smooth": (_SMOOTH_TERMS, _REQUIRED),
                    "grid": (_grid, _REQUIRED)}
 
 
-def _grid_on(spec: Mapping, dims: BlockDims) -> LinearBlockOperator:
-    grid = LinearBlockOperator([[np.array(e) for e in row]
+def _grid_operator(spec: Mapping) -> LinearBlockOperator:
+    return LinearBlockOperator([[np.array(e) for e in row]
                                 for row in spec["grid"]])
-    if grid.source_dims != dims:
-        raise ConfigError("grid columns do not match problem dims")
-    return grid
 
 
-def _coupling_gradient(spec: Mapping, dims: BlockDims) -> CocoerciveOperator:
+def _coupling_gradient(spec: Mapping) -> CocoerciveOperator:
     return coupling_forward_operator(
-        _grid_on(spec, dims), [_build(_SMOOTHS, s) for s in spec["smooth"]])
-
-
-def _prox(spec: Mapping, dims: BlockDims) -> BlockOperatorFamily:
-    fam = prox_family([_build(_FUNCTIONS, f) for f in spec["functions"]],
-                      spec["gamma"])
-    if fam.dims != dims:
-        raise ConfigError("operator functions do not match problem dims")
-    return fam
+        _grid_operator(spec), [_build(_SMOOTHS, s) for s in spec["smooth"]])
 
 
 def _affine(spec: Mapping, dims: BlockDims) -> BlockOperatorFamily:
@@ -444,7 +432,10 @@ def _affine(spec: Mapping, dims: BlockDims) -> BlockOperatorFamily:
 
 _OPERATORS = _Table("operator", "type", {
     "prox": ({"functions": (_BLOCK_FUNCTIONS, _REQUIRED),
-              "gamma": (_float, 1.0)}, _prox),
+              "gamma": (_float, 1.0)},
+             lambda s, dims: prox_family(
+                 [_build(_FUNCTIONS, f) for f in s["functions"]],
+                 s["gamma"])),
     "box_projection": (
         {"lo": (_full_vector, _REQUIRED), "hi": (_full_vector, _REQUIRED)},
         lambda s, dims: box_projection_family(np.array(s["lo"]),
@@ -463,7 +454,7 @@ _OPERATORS = _Table("operator", "type", {
     "forward_step": (
         {**_COUPLED_SMOOTH, "stepsize": (_schedule_node, _REQUIRED)},
         lambda s, dims: forward_step_family(
-            _coupling_gradient(s, dims), Schedule(**s["stepsize"]),
+            _coupling_gradient(s), Schedule(**s["stepsize"]),
             dims)),
 })
 
@@ -512,7 +503,7 @@ def _linear_forward(spec: Mapping, dims: BlockDims) -> CocoerciveOperator:
 
 _FORWARDS = _Table("forward", "type", {
     "linear": (_LINEAR, _linear_forward),
-    "coupling": (_COUPLED_SMOOTH, _coupling_gradient),
+    "coupling": (_COUPLED_SMOOTH, lambda s, dims: _coupling_gradient(s)),
     "none": ({}, lambda s, dims: None),
 })
 
@@ -621,7 +612,7 @@ class _RunPlan:
     mask_blocks: int
     problem: Any
     dims: BlockDims
-    runner: Callable  # (SolverConfig) -> (IterateTrace, solution|None)
+    runner: Callable  # (SolverConfig) -> IterateTrace
     check: Callable  # (SolverConfig) -> None, the driver's own check
     # the solver settings of the first seed; a run replaces the seed
     config: SolverConfig | None = None
@@ -642,7 +633,7 @@ def _plan_km(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
     x0 = _initial(rc, "x0", dims)
     return _RunPlan(
         dims.m, KmProblem(family, x0), dims,
-        lambda scfg: (run_single_layer(family, scfg, x0), None),
+        lambda scfg: run_single_layer(family, scfg, x0),
         lambda scfg: _check_single_layer(family, scfg, x0),
     )
 
@@ -660,7 +651,7 @@ def _plan_double_layer(prob: Mapping, rc: RunConfig,
         dims.m,
         KmProblem(BlockOperatorFamily(dims, composed, "nonexpansive"), x0),
         dims,
-        lambda scfg: (run_double_layer(outer, inner, scfg, x0), None),
+        lambda scfg: run_double_layer(outer, inner, scfg, x0),
         lambda scfg: _check_double_layer(outer, inner, scfg, x0),
     )
 
@@ -674,14 +665,14 @@ def _plan_dr(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
     return _RunPlan(
         dims.m, problem, dims,
         lambda scfg: run_dr(problem.resolvents, jb, gamma, scfg, x0, z0,
-                            check_resolvent=False),
+                            check_resolvent=False)[0],
         lambda scfg: _check_dr(problem.resolvents, gamma, scfg, x0, z0),
     )
 
 
 def _plan_pd_dr(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
     gamma = rc.solver["gamma"]
-    grid = _grid_on(prob, dims)
+    grid = _grid_operator(prob)
     problem = assemble_pd_problem(
         [_build(_MONOTONES, f) for f in prob["functions"]],
         [_build(_MONOTONES, g) for g in prob["duals"]], grid)
@@ -690,7 +681,7 @@ def _plan_pd_dr(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
               if key in rc.initial else None for key in ("y0", "w0"))
     return _RunPlan(
         problem.k_dims.m, problem, dims,
-        lambda scfg: run_pd_dr(problem, gamma, scfg, x0, z0, y0, w0),
+        lambda scfg: run_pd_dr(problem, gamma, scfg, x0, z0, y0, w0)[0],
         lambda scfg: _check_pd_dr(problem, gamma, scfg, x0, z0, y0, w0),
     )
 
@@ -700,8 +691,8 @@ def _fb_plan(problem, B, objective, rc: RunConfig,
     x0 = _initial(rc, "x0", dims)
     return _RunPlan(
         dims.m, problem, dims,
-        lambda scfg: (run_fb(problem.resolvents, B, scfg, x0, objective,
-                             check_cocoercivity=False), None),
+        lambda scfg: run_fb(problem.resolvents, B, scfg, x0, objective,
+                            check_cocoercivity=False),
         lambda scfg: _check_forward_backward(problem.resolvents, B, scfg, x0),
     )
 
@@ -713,7 +704,7 @@ def _plan_fb(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
 
 
 def _plan_fb_min(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
-    grid = _grid_on(prob, dims)
+    grid = _grid_operator(prob)
     problem = CoupledMinProblem(
         tuple(_build(_FUNCTIONS, f) for f in prob["functions"]),
         tuple(_build(_SMOOTHS, s) for s in prob["smooth"]), grid)
@@ -869,6 +860,36 @@ def _finite_or_null(value):
     return value
 
 
+def _run_seed(plan: _RunPlan, seed: int, overrides: Mapping,
+              path: str) -> dict:
+    """Run one seed and write its trace CSV to ``path``; its report entry.
+
+    The seed's ``SolverConfig`` is the plan's with ``seed`` and
+    ``overrides`` replaced.  A seed that raises, also while those settings
+    are checked, gets ``{"error": "<Type>: <message>"}`` and no CSV, with
+    the traceback on stderr for exceptions from outside blocksweep, so one
+    failing seed does not lose the other seeds' output.  An ``OSError``
+    from writing the CSV propagates.
+    """
+    try:
+        trace = plan.runner(replace(plan.config, seed=seed, **overrides))
+    except Exception as exc:
+        if not isinstance(exc, BlocksweepError):
+            traceback.print_exception(exc, file=sys.stderr)
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    write_trace(trace, path)
+    entry = {
+        "final_residual": trace.final_residual,
+        "iterations": trace.iterations,
+        "termination": trace.termination,
+        "reached_tolerance": trace.termination == "tolerance",
+    }
+    last = trace.records[-1] if trace.records else None
+    if last is not None and last.distance_to_reference is not None:
+        entry["distance_to_reference"] = last.distance_to_reference
+    return entry
+
+
 def execute_run(
     rc: RunConfig,
     out_dir: str | None = None,
@@ -882,6 +903,9 @@ def execute_run(
     The run plan is the one cached on ``rc`` (built by ``parse_config``),
     so repeated calls and extra seeds redo no set-up: a seed only builds
     its own ``SolverConfig`` from the cached one and runs the driver.
+    Seeds run one after another, in order, on the calling thread, and each
+    seed's CSV is written as soon as that seed ends, so no trace outlives
+    its seed.  ``workers`` is accepted for compatibility and has no effect.
 
     Exit status: 0 when every seed stopped at tolerance, 2 when some seed
     exhausted its budget or diverged (its trace holds the completed
@@ -889,10 +913,11 @@ def execute_run(
     configuration or I/O errors, on an empty seed list or when some seed
     raised.  A seed that raises is recorded as ``"<Type>: <message>"``
     under its ``error`` key in the report (with the traceback on stderr for
-    exceptions from outside blocksweep); the other seeds' traces and the
-    report are still written.  The report is strict
-    JSON (RFC 8259): a non-finite float, such as the final residual of a
-    diverged seed, is written as ``null``.
+    exceptions from outside blocksweep, and one ``seed N failed`` line per
+    failed seed at the end); the other seeds' traces and the report are
+    still written.  The report is strict JSON (RFC 8259): a non-finite
+    float, such as the final residual of a diverged seed, is written as
+    ``null``.
     """
     try:
         plan = rc._plan
@@ -918,64 +943,20 @@ def execute_run(
     if tol is not None:
         overrides["tolerance"] = tol
 
-    def one_seed(seed: int):
-        scfg = replace(plan.config, seed=seed, **overrides)
-        trace, solution = plan.runner(scfg)
-        return seed, trace, solution
-
-    results = {}
-    errors: dict[int, str] = {}
-    pool = max(1, min(len(seeds), workers if workers is not None
-                      else (os.cpu_count() or 1)))
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=pool) as ex:
-            futures = {ex.submit(one_seed, s): s for s in seeds}
-            for fut in concurrent.futures.as_completed(futures):
-                seed = futures[fut]
-                try:
-                    _, trace, solution = fut.result()
-                    results[seed] = (trace, solution)
-                except Exception as exc:
-                    # one failing seed must not lose the other seeds' output
-                    errors[seed] = f"{type(exc).__name__}: {exc}"
-                    if not isinstance(exc, BlocksweepError):
-                        traceback.print_exception(exc, file=sys.stderr)
-    except OSError as exc:  # pragma: no cover - thread pool failure
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
     per_seed = {}
-    all_ok = True
     try:
         for seed in seeds:
-            if seed in errors:
-                per_seed[str(seed)] = {"error": errors[seed]}
-                all_ok = False
-                continue
-            trace, solution = results[seed]
-            write_trace(trace, os.path.join(directory,
-                                            f"trace_seed{seed}.csv"))
-            last = trace.records[-1] if trace.records else None
-            entry = {
-                "final_residual": trace.final_residual,
-                "iterations": trace.iterations,
-                "termination": trace.termination,
-                "reached_tolerance": trace.termination == "tolerance",
-            }
-            if last is not None and last.distance_to_reference is not None:
-                entry["distance_to_reference"] = last.distance_to_reference
-            per_seed[str(seed)] = entry
-            if trace.termination != "tolerance":
-                all_ok = False
-        residuals = [per_seed[str(s)].get("final_residual")
-                     for s in seeds if "error" not in per_seed[str(s)]]
+            per_seed[str(seed)] = _run_seed(
+                plan, seed, overrides,
+                os.path.join(directory, f"trace_seed{seed}.csv"))
+        entries = [per_seed[str(s)] for s in seeds]
+        residuals = [e["final_residual"] for e in entries if "error" not in e]
         report = {
             "kind": rc.problem["kind"],
-            "seeds": list(seeds),
+            "seeds": seeds,
             "success_fraction": (
-                sum(1 for s in seeds
-                    if per_seed[str(s)].get("reached_tolerance")) / len(seeds)
-            ),
+                sum(1 for e in entries if e.get("reached_tolerance"))
+                / len(seeds)),
             "per_seed": per_seed,
         }
         if residuals:
@@ -987,11 +968,13 @@ def execute_run(
     except OSError as exc:
         print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
         return 1
-    if errors:
-        for seed, message in sorted(errors.items()):
-            print(f"seed {seed} failed: {message}", file=sys.stderr)
+    failed = sorted({s for s in seeds if "error" in per_seed[str(s)]})
+    for seed in failed:
+        print(f"seed {seed} failed: {per_seed[str(seed)]['error']}",
+              file=sys.stderr)
+    if failed:
         return 1
-    return 0 if all_ok else 2
+    return 0 if all(e["reached_tolerance"] for e in entries) else 2
 
 
 # ---------------------------------------------------------------------------
@@ -1018,7 +1001,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     run_p.add_argument("--out", help="output directory override")
     run_p.add_argument("--max-iter", type=int, dest="max_iter")
     run_p.add_argument("--tol", type=float)
-    run_p.add_argument("--workers", type=int)
 
     val_p = sub.add_parser("validate", help="parse and validate a config")
     val_p.add_argument("config")
@@ -1061,8 +1043,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                   file=sys.stderr)
             return 1
     return execute_run(rc, out_dir=args.out, seeds=seeds,
-                       max_iter=args.max_iter, tol=args.tol,
-                       workers=args.workers)
+                       max_iter=args.max_iter, tol=args.tol)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -145,15 +145,8 @@ def _weighted_sq(d: BlockVector, weights: WeightedNormSpec) -> float:
     return reduce(d, d, weights).weighted_norm_sq_x
 
 
-def _support_arrays(law: MaskLaw, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The law's K-by-m 0/1 bit array and its K probabilities, in order."""
-    bits = np.frombuffer(b"".join(bytes(mask.bits) for mask, _ in law.support),
-                         dtype=np.uint8).reshape(len(law.support), m)
-    return bits, np.array([p for _, p in law.support])
-
-
 def _expected_weighted_sq(
-    support: tuple[np.ndarray, np.ndarray],
+    law: MaskLaw,
     weights: WeightedNormSpec,
     x: BlockVector,
     target: BlockVector,
@@ -171,7 +164,7 @@ def _expected_weighted_sq(
     ``combine`` and ``reduce`` compute them, and every sum runs left to
     right, so the result equals their per-pattern loop bit for bit.
     """
-    bits, probs = support
+    bits, probs = law.bits, law.probabilities
     _check_same_dims(x, target)
     if bits.shape[1] != x.dims.m:
         raise ShapeError(f"mask has {bits.shape[1]} bits for {x.dims.m} blocks")
@@ -218,7 +211,6 @@ def expected_fejer_check(
         )
     law = mask_law(rule)
     weights = WeightedNormSpec(law.marginals)
-    support = _support_arrays(law, rule.m)
     slacks = []
     for rec in trace.records:
         if rec.snapshot is None or rec.relaxation is None:
@@ -226,7 +218,7 @@ def expected_fejer_check(
         x = rec.snapshot
         tx = T.evaluate(rec.n, x)
         base = _weighted_sq(combine(1.0, x, -1.0, z), weights)
-        expected = _expected_weighted_sq(support, weights, x, tx,
+        expected = _expected_weighted_sq(law, weights, x, tx,
                                          rec.relaxation, z)
         slacks.append(expected - base)
     return slacks
@@ -273,10 +265,9 @@ def expectation_identity_check(
     if rule.m != x.dims.m:
         raise ShapeError("rule must cover the same number of blocks")
     weights = WeightedNormSpec(law.marginals)
-    support = _support_arrays(law, rule.m)
     tx = T.evaluate(iteration, x)
-    lhs_target = _expected_weighted_sq(support, weights, x, tx, 1.0, z)
-    lhs_step = _expected_weighted_sq(support, weights, x, tx, 1.0, x)
+    lhs_target = _expected_weighted_sq(law, weights, x, tx, 1.0, z)
+    lhs_step = _expected_weighted_sq(law, weights, x, tx, 1.0, x)
     diff_xz = combine(1.0, x, -1.0, z)
     r = reduce(diff_xz, diff_xz, weights)
     diff_txz = combine(1.0, tx, -1.0, z)
@@ -359,38 +350,29 @@ def inclusion_residual(problem, candidate) -> InclusionReport:
     if isinstance(problem, DrProblem):
         gamma = problem.gamma
         A = list(problem.A)
-        if problem.B_forward is not None:
-            bx = problem.B_forward.apply(primal)
-            primal_res = _blockwise_fixed_point_residual(A, primal, bx, gamma)
-        elif dual is not None:
-            res_a = max(
-                _membership_residual(A[i], primal.block(i),
-                                     -dual.block(i), gamma)
-                for i in range(primal.dims.m)
-            )
-            jb_arg = combine(1.0, primal, gamma, dual)
-            res_b = distance(primal, problem.JB(jb_arg))
-            primal_res = max(res_a, res_b)
-        else:
-            raise CapabilityError(
-                "need either a forward evaluation of the coupled operator "
-                "or a dual point to measure this inclusion"
-            )
-        dual_res = None
         if dual is not None:
             res_a = max(
                 _membership_residual(A[i], primal.block(i),
                                      -dual.block(i), gamma)
                 for i in range(primal.dims.m)
             )
-            if problem.B_forward is not None:
-                res_b = float(np.linalg.norm(
-                    problem.B_forward.apply(primal).flat - dual.flat
-                ))
-            else:
-                jb_arg = combine(1.0, primal, gamma, dual)
-                res_b = distance(primal, problem.JB(jb_arg))
-            dual_res = max(res_a, res_b)
+        if problem.B_forward is not None:
+            bx = problem.B_forward.apply(primal)
+            primal_res = _blockwise_fixed_point_residual(A, primal, bx, gamma)
+            dual_res = None
+            if dual is not None:
+                res_b = float(np.linalg.norm(bx.flat - dual.flat))
+                dual_res = max(res_a, res_b)
+        elif dual is not None:
+            # without a forward evaluation both residuals measure the pair
+            jb_arg = combine(1.0, primal, gamma, dual)
+            res_b = distance(primal, problem.JB(jb_arg))
+            primal_res = dual_res = max(res_a, res_b)
+        else:
+            raise CapabilityError(
+                "need either a forward evaluation of the coupled operator "
+                "or a dual point to measure this inclusion"
+            )
         return InclusionReport(primal_res, dual_res)
 
     if isinstance(problem, PdDrProblem):

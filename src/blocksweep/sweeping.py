@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -159,9 +160,27 @@ def sample_mask(rule: SweepingRule, iteration: int, seed: int) -> ActivationMask
     return ActivationMask._unchecked(tuple(bits), active)
 
 
-class MaskLaw(NamedTuple):
-    support: tuple[tuple[ActivationMask, float], ...]
+@dataclass(frozen=True, eq=False)
+class MaskLaw:
+    """The exact law of a sweeping rule over its K nonzero patterns.
+
+    ``bits`` is the read-only K-by-m 0/1 array of the patterns and
+    ``probabilities`` their K probabilities, in the same order; the masks of
+    ``support`` are built from them on first read only.
+    """
+
+    bits: np.ndarray
+    probabilities: np.ndarray
     marginals: tuple[float, ...]
+
+    @cached_property
+    def support(self) -> tuple[tuple[ActivationMask, float], ...]:
+        blocks = range(self.bits.shape[1])
+        return tuple(
+            (ActivationMask._unchecked(
+                tuple(row), tuple(itertools.compress(blocks, row))), p)
+            for row, p in zip(self.bits.tolist(), self.probabilities.tolist())
+        )
 
 
 def mask_law(rule: SweepingRule) -> MaskLaw:
@@ -169,11 +188,11 @@ def mask_law(rule: SweepingRule) -> MaskLaw:
 
     Enumerates the nonzero patterns, so this is gated at ``m <= 20``.
     Bernoulli probabilities are renormalized by the rejection of the all-zero
-    pattern, and patterns of probability zero are left out.  The support is
-    built as one K-by-m bit array: the Bernoulli probabilities are m column
-    products, and each marginal sums its column in support order, so both
-    equal a pattern-by-pattern loop bit for bit.  A marginal that rounds
-    above 1 is clamped to 1.
+    pattern, and patterns of probability zero are left out.  The law is
+    built and kept as one K-by-m bit array: the Bernoulli probabilities are
+    m column products, and each marginal sums its column in support order,
+    so both equal a pattern-by-pattern loop bit for bit.  A marginal that
+    rounds above 1 is clamped to 1.
     """
     m = rule.m
     if m > _ENUMERATION_LIMIT:
@@ -182,7 +201,7 @@ def mask_law(rule: SweepingRule) -> MaskLaw:
         )
     if rule.scheme == "single_block":
         bits = np.eye(m, dtype=np.uint8)
-        probs = rule._block_p.tolist()
+        probs = rule._block_p
     elif rule.scheme == "independent_bernoulli":
         q = rule.probabilities
         keep = 1.0 - math.prod(1.0 - qi for qi in q)
@@ -196,25 +215,20 @@ def mask_law(rule: SweepingRule) -> MaskLaw:
             prod *= np.where(bits[:, i], qi, 1.0 - qi)
         nonzero = prod > 0.0
         bits = bits[nonzero]
-        probs = [p / keep for p in prod[nonzero].tolist()]
+        probs = prod[nonzero] / keep
     else:  # fixed_subset_size
         subsets = np.array(list(itertools.combinations(range(m), rule.size)))
         bits = np.zeros((len(subsets), m), dtype=np.uint8)
         np.put_along_axis(bits, subsets, 1, axis=1)
-        probs = [1.0 / len(subsets)] * len(subsets)
-    blocks = range(m)
-    support = tuple(
-        (ActivationMask._unchecked(tuple(row),
-                                   tuple(itertools.compress(blocks, row))), p)
-        for row, p in zip(bits.tolist(), probs)
-    )
+        probs = np.full(len(subsets), 1.0 / len(subsets))
+    bits.setflags(write=False)
+    probs.setflags(write=False)
     # a running total down each column: np.sum would add pairwise
-    weights = np.array(probs)
     marginals = tuple(
-        min(float(np.add.accumulate(np.where(col, weights, 0.0))[-1]), 1.0)
+        min(float(np.add.accumulate(np.where(col, probs, 0.0))[-1]), 1.0)
         for col in bits.T
     )
-    return MaskLaw(support, marginals)
+    return MaskLaw(bits, probs, marginals)
 
 
 @dataclass(frozen=True)

@@ -418,6 +418,40 @@ def test_execute_run_foreign_exception_keeps_other_seeds(tmp_path, monkeypatch,
     assert "Traceback" in err and "seed 1 failed" in err
 
 
+def test_seeds_run_in_order_on_the_calling_thread(tmp_path, monkeypatch):
+    import threading
+
+    import blocksweep.cli as cli
+
+    real = cli.run_single_layer
+    started = []
+
+    def checked(T, cfg, x0):
+        # the previous seed's CSV is written before this seed starts
+        if started:
+            assert (tmp_path / f"trace_seed{started[-1]}.csv").exists()
+        assert threading.current_thread() is threading.main_thread()
+        started.append(cfg.seed)
+        return real(T, cfg, x0)
+
+    monkeypatch.setattr(cli, "run_single_layer", checked)
+    rc = parse_config(MINIMAL_KM.replace("seeds: [0]", "seeds: [2, 0, 1]"))
+    assert execute_run(rc, out_dir=str(tmp_path)) == 0
+    assert started == [2, 0, 1]
+
+
+def test_invalid_overrides_fail_every_seed_and_are_reported(tmp_path, capsys):
+    rc = parse_config(MINIMAL_KM.replace("seeds: [0]", "seeds: [1, 0]"))
+    assert execute_run(rc, out_dir=str(tmp_path), max_iter=0) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    error = {"error": "ParameterError: max_iterations must be >= 1"}
+    assert report["per_seed"] == {"0": error, "1": error}
+    assert not list(tmp_path.glob("trace_seed*.csv"))
+    assert capsys.readouterr().err == (
+        "seed 0 failed: ParameterError: max_iterations must be >= 1\n"
+        "seed 1 failed: ParameterError: max_iterations must be >= 1\n")
+
+
 def _config_texts():
     """Every YAML run config written out in the test modules."""
     import re

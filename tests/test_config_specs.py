@@ -271,6 +271,28 @@ def test_validate_rejects_a_config_every_seed_would_reject(tmp_path, capsys,
     assert err == f"invalid config: {message}\n"
 
 
+WIDE_GRID = [[[[1.0, 0.0]]]]  # one primal block of two columns, not one
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_with("km", "operator", {"type": "prox",
+                              "functions": [{"kind": "l1", "dim": 2}]}),
+     "starting point does not match the operator family"),
+    (_with("km", "operator", {"type": "forward_step", "smooth": [SMOOTH],
+                              "grid": WIDE_GRID, "stepsize": 1.0}),
+     "starting point does not match the operator family"),
+    (_with("fb", "forward", {"type": "coupling", "smooth": [SMOOTH],
+                             "grid": WIDE_GRID}),
+     "forward operator dims do not match the iterate"),
+    (_with("pd_dr", "grid", WIDE_GRID), "primal term 0 has dim 1, expected 2"),
+    (_with("fb_min", "grid", WIDE_GRID), "function 0 has dim 1, expected 2"),
+], ids=["prox", "forward_step", "fb_coupling", "pd_dr", "fb_min"])
+def test_dims_mismatch_is_rejected_by_the_drivers_own_check(doc, message):
+    with pytest.raises(ConfigError) as exc:
+        _parse(doc)
+    assert str(exc.value) == message
+
+
 def test_exponent_without_dot_is_rejected_with_a_hint():
     text = yaml.safe_dump(_doc(PROBLEMS["km"])).replace(
         "max_iterations: 50", "max_iterations: 50\n  tolerance: 1e-8")

@@ -338,6 +338,27 @@ def test_inclusion_residual_exact_solution():
     assert rep.dual_res <= 1e-12
 
 
+def test_inclusion_residual_of_a_dr_pair_without_forward_evaluation():
+    # 0 in sign(x) + (x - 2), given only the coupled resolvent: x = 1, u = -1
+    d = bs.BlockDims([1])
+    B = bs.LinearMonotone(np.array([[1.0]]), np.array([-2.0]))
+    problem = bs.DrProblem(
+        (bs.Subdifferential(bs.L1Norm(1)),),
+        lambda v: bs.BlockVector(d, B.resolvent(v.flat, 1.0)), 1.0, d)
+    assert problem.B_forward is None
+    cfg = cfg_for(1, tolerance=1e-13, max_iterations=500)
+    trace, sol = bs.run_dr(problem.A, problem.JB, problem.gamma, cfg,
+                           bs.construct(d, [[5.0]]))
+    assert trace.termination == "tolerance"
+    rep = bs.inclusion_residual(problem, sol)
+    assert rep.primal_res == rep.dual_res <= 1e-10
+    for primal, dual in ((sol.primal.flat + 0.1, sol.dual.flat),
+                         (sol.primal.flat, sol.dual.flat + 0.1)):
+        rep = bs.inclusion_residual(problem, bs.PrimalDualSolution(
+            bs.construct(d, [primal]), bs.construct(d, [dual])))
+        assert rep.primal_res == rep.dual_res > 0.01
+
+
 def test_inclusion_residual_zero_candidate():
     suite = dr_1d()
     d = suite["dims"]
