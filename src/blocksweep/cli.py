@@ -47,7 +47,7 @@ full grammar:
       a: {kind: gaussian_decay, scale: 0.1, decay: 0.9}
       # slots: a, b, c, d (driver dependent); omitted slots are error-free
     seeds: [0, 1, 2]
-    initial: {x0: [[...], ...], z0: ..., y0: ..., w0: ...}
+    initial: {x0: [[...], ...], z0: ..., y0: ..., w0: ...}  # z0, w0 inert
     reference: [[...], ...]   # optional known solution (primal blocks)
     output: {directory: out}
 
@@ -139,6 +139,7 @@ from .solvers import (
     _check_forward_backward,
     _check_pd_dr,
     _check_single_layer,
+    _check_terms,
     assemble_pd_problem,
     run_double_layer,
     run_dr,
@@ -473,12 +474,17 @@ def _linear_coupling(spec: Mapping, dims: BlockDims, gamma: float):
             b_forward)
 
 
+def _separable_coupling(spec: Mapping, dims: BlockDims, gamma: float):
+    """The coupled resolvent of a blockwise ``B``, whose blocks match dims."""
+    ops = [_build(_MONOTONES, b) for b in spec["blocks"]]
+    _check_terms(tuple(op.dim for op in ops), dims, "coupling block")
+    return blockwise_resolvent(ops, gamma), None
+
+
 _COUPLINGS = _Table("coupling", "type", {
     "linear": (_LINEAR, _linear_coupling),
     "separable": ({"blocks": (_BLOCK_MONOTONES, _REQUIRED)},
-                  lambda s, dims, gamma: (blockwise_resolvent(
-                      [_build(_MONOTONES, b) for b in s["blocks"]], gamma),
-                      None)),
+                  _separable_coupling),
 })
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .blockspace import BlockDims, BlockVector
 from .errors import (
     CapabilityError,
+    NonFiniteError,
     NumericError,
     ParameterError,
     ShapeError,
@@ -867,21 +868,34 @@ def graph_projection(
     op = V.operator
     if x.dims != op.source_dims or y.dims != op.target_dims:
         raise ShapeError("projection input dims do not match the subspace")
-    L = op.stacked
-    t = V._solve(V._h_factor, x.flat + L.T @ y.flat)
-    lt = L @ t
-    pair = (BlockVector._own(op.source_dims, t),
+    t, lt = _graph_projection_flat(V, x.flat, y.flat)
+    return (BlockVector._own(op.source_dims, t),
             BlockVector._own(op.target_dims, lt))
+
+
+def _graph_projection_flat(
+    V: GraphSubspace, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``graph_projection`` on flat arrays: new arrays ``(t, Lt)``.
+
+    Raises ``NonFiniteError`` when ``t`` or ``Lt`` is not finite, before the
+    debug check could compare routes that overflowed.  The norms of the
+    check are ``math.sqrt(v.dot(v))``, which is what ``np.linalg.norm``
+    computes for a 1-D float64 array.
+    """
+    L = V.operator.stacked
+    t = V._solve(V._h_factor, x + L.T @ y)
+    lt = L @ t
+    if not (np.isfinite(t).all() and np.isfinite(lt).all()):
+        raise NonFiniteError("block entries must be finite")
     if __debug__:
-        s = V._solve(V._g_factor, L @ x.flat - y.flat)
-        alt_t = x.flat - L.T @ s
-        alt_lt = y.flat + s
-        scale = 1.0 + float(np.linalg.norm(x.flat)) + float(np.linalg.norm(y.flat))
-        gap = math.hypot(
-            float(np.linalg.norm(t - alt_t)), float(np.linalg.norm(lt - alt_lt))
-        )
+        s = V._solve(V._g_factor, L @ x - y)
+        dt = t - (x - L.T @ s)
+        dlt = lt - (y + s)
+        scale = 1.0 + math.sqrt(x.dot(x)) + math.sqrt(y.dot(y))
+        gap = math.hypot(math.sqrt(dt.dot(dt)), math.sqrt(dlt.dot(dlt)))
         assert gap <= 1e-9 * scale, f"projector routes disagree by {gap:.3e}"
-    return pair
+    return t, lt
 
 
 # ---------------------------------------------------------------------------

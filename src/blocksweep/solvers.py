@@ -17,14 +17,17 @@ also calls when it parses a config; the loop itself compares no
 ``BlockDims`` (the public callables it calls keep their own checks).
 
 The loop works on flat float64 arrays.  Error draws, targets, reflections,
-distances and the masked update stay arrays; a ``BlockVector`` is built
-only where a public callable takes or returns one: the iterate once per
-iteration, the values of families, sweeps and coupled resolvents, and so
-the snapshots and the final point.  Every such vector is checked to be
+distances, the masked update and ``run_pd_dr``'s graph projection stay
+arrays; a ``BlockVector`` is built only where a public callable takes or
+returns one: the iterate once per iteration, the values of families,
+sweeps and ``run_dr``'s coupled resolvent, and so the snapshots and the
+final point.  Every such vector, and the projection, is checked to be
 finite, and a ``NonFiniteError`` from any of them ends the run with
 ``termination="diverged"``: the trace keeps the completed iterations and
 ``final`` is the last finite iterate.  The loop runs under one
 ``np.errstate`` that keeps the overflow warnings of a diverging run quiet.
+Masks and error draws come from ``sweeping``'s chunk-seeded twins of
+``sample_mask`` and ``sample_error``, which make the same draws.
 
 Drivers
 -------
@@ -73,13 +76,14 @@ from .operators import (
     SmoothTerm,
     Subdifferential,
     _SmoothRows,
+    _graph_projection_flat,
     as_schedule,
     coupling_forward_operator,
     forward_step_family,
     graph_projection,
     resolvent_family,
 )
-from .sweeping import ErrorModel, SweepingRule, _error_flat, sample_mask
+from .sweeping import ErrorModel, SweepingRule, _error_draws, _mask_draws
 
 __all__ = [
     "Schedule",
@@ -116,10 +120,10 @@ class SolverConfig:
 
     ``relaxation`` is the masked-update relaxation (each driver enforces its
     own admissible range), ``dr_relaxation`` the splitting relaxation in
-    ]0, 2[, ``stepsize`` the forward stepsize sequence, and ``gamma`` the
-    fixed resolvent parameter forwarded to the splitting drivers by the
-    orchestration layer.  ``errors`` maps slot names ("a", "b", "c", "d") to
-    error models; missing slots are error-free.
+    ]0, 2[ and ``stepsize`` the forward stepsize sequence.  ``gamma`` is
+    inert: it is validated, but the splitting drivers take their resolvent
+    parameter as an argument.  ``errors`` maps slot names ("a", "b", "c",
+    "d") to error models; missing slots are error-free.
     """
 
     sweeping: SweepingRule
@@ -387,9 +391,8 @@ def _error_sampler(
     model = cfg.errors.get(slot)
     if model is None or model.kind == "none":
         return None
-    stream = _SLOT_STREAMS[slot]
-    seed, d = cfg.seed, dims.total
-    return lambda n: _error_flat(model, d, n, seed, stream)
+    return _error_draws(model, dims.total, cfg.seed, _SLOT_STREAMS[slot],
+                        cfg.max_iterations)
 
 
 def _paired_error_sampler(
@@ -437,6 +440,7 @@ def _engine(
     records: list[TraceRecord] = []
     x = x0
     termination = "max_iterations"
+    masks = _mask_draws(cfg.sweeping, cfg.seed, cfg.max_iterations)
     try:
         with np.errstate(all="ignore"):
             for n in range(cfg.max_iterations):
@@ -447,7 +451,7 @@ def _engine(
                     )
                     termination = "tolerance"
                     break
-                mask = sample_mask(cfg.sweeping, n, cfg.seed)
+                mask = masks(n)
                 relax = relaxation.at(n)
                 nxt = BlockVector._own(x.dims, step(n, x.flat, mask, relax,
                                                     state))
@@ -488,6 +492,24 @@ def _km(
         return _masked_flat(x, mask.active, lam, target, offsets)
 
     return _engine(cfg, x0, cfg.relaxation, measure, step)
+
+
+def _final_solution(
+    trace: IterateTrace, solution: Callable[[], PrimalDualSolution]
+) -> PrimalDualSolution | None:
+    """The splitting drivers' solution at ``trace.final``.
+
+    A diverged run's last finite iterate may have a coupled resolvent that
+    is not finite; its solution is then None, with the overflow warnings
+    kept quiet as in the loop.
+    """
+    if trace.termination != "diverged":
+        return solution()
+    with np.errstate(all="ignore"):
+        try:
+            return solution()
+        except NonFiniteError:
+            return None
 
 
 def _splitting(
@@ -687,7 +709,7 @@ def run_dr(
     x0: BlockVector,
     z0: BlockVector | None = None,
     check_resolvent: bool = True,
-) -> tuple[IterateTrace, PrimalDualSolution]:
+) -> tuple[IterateTrace, PrimalDualSolution | None]:
     """Masked splitting iteration for ``0 in A_i x_i + B_i(x)``.
 
     Each iteration refreshes the active blocks of the shadow state from the
@@ -699,7 +721,8 @@ def run_dr(
     the run.
 
     Returns the trace of the governing sequence together with the primal
-    point ``z = JB(x_final)`` and the dual point ``(x_final - z) / gamma``.
+    point ``z = JB(x_final)`` and the dual point ``(x_final - z) / gamma``;
+    the solution is None when the run diverged and ``z`` is not finite.
     ``A`` may also be the resolvent ``SeparableSweep`` of the operators
     (``DrProblem.resolvents``); it is then used as is.
     """
@@ -714,9 +737,13 @@ def run_dr(
         _error_sampler(cfg, "a", dims), _error_sampler(cfg, "b", dims),
         lambda q: q,
     )
-    z = JB(trace.final)
-    u = combine(1.0 / gamma, trace.final, -1.0 / gamma, z)
-    return trace, PrimalDualSolution(primal=z, dual=u)
+
+    def solution() -> PrimalDualSolution:
+        z = JB(trace.final)
+        u = combine(1.0 / gamma, trace.final, -1.0 / gamma, z)
+        return PrimalDualSolution(primal=z, dual=u)
+
+    return trace, _final_solution(trace, solution)
 
 
 def _check_dr(A: SeparableSweep, gamma: float, cfg: SolverConfig,
@@ -789,7 +816,7 @@ def run_pd_dr(
     z0: BlockVector | None = None,
     y0: BlockVector | None = None,
     w0: BlockVector | None = None,
-) -> tuple[IterateTrace, PrimalDualSolution]:
+) -> tuple[IterateTrace, PrimalDualSolution | None]:
     """Primal-dual splitting with masks over all ``m + p`` blocks.
 
     Runs the coupled-resolvent splitting on the paired space where the
@@ -798,23 +825,32 @@ def run_pd_dr(
     refresh of the governing state, so the reported primal point is the
     primal part of the final refresh and the reported dual point is
     ``(w - y_final) / gamma`` with ``w`` its image part.  As in ``run_dr``,
-    ``z0`` and ``w0`` are checked but do not change the run.
+    ``z0`` and ``w0`` are checked but do not change the run, and the
+    solution is None when the run diverged and that refresh is not finite.
     """
     h, g, k = problem.h_dims, problem.g_dims, problem.k_dims
     _check_pd_dr(problem, gamma, cfg, x0, z0, y0, w0)
     y0 = y0 if y0 is not None else problem.L.apply(x0)
+    V, split = problem.V, h.total
+
+    def jb(v: BlockVector) -> np.ndarray:
+        return np.concatenate(
+            _graph_projection_flat(V, v.flat[:split], v.flat[split:]))
 
     trace = _splitting(
-        cfg, _join_pair(x0, y0, k), problem.resolvents,
-        lambda v: problem.project(v).flat, gamma,
+        cfg, _join_pair(x0, y0, k), problem.resolvents, jb, gamma,
         _paired_error_sampler(cfg, "a", "b", h, g),
         _paired_error_sampler(cfg, "c", "d", h, g),
-        lambda q: q[:h.total],
+        lambda q: q[:split],
     )
-    z_final, w_final = _split_pair(problem.project(trace.final), h, g)
-    _, y_final = _split_pair(trace.final, h, g)
-    dual = combine(1.0 / gamma, w_final, -1.0 / gamma, y_final)
-    return trace, PrimalDualSolution(primal=z_final, dual=dual)
+
+    def solution() -> PrimalDualSolution:
+        z_final, w_final = _split_pair(problem.project(trace.final), h, g)
+        _, y_final = _split_pair(trace.final, h, g)
+        dual = combine(1.0 / gamma, w_final, -1.0 / gamma, y_final)
+        return PrimalDualSolution(primal=z_final, dual=dual)
+
+    return trace, _final_solution(trace, solution)
 
 
 def _check_pd_dr(problem: PdDrProblem, gamma: float, cfg: SolverConfig,

@@ -271,6 +271,20 @@ def test_validate_rejects_a_config_every_seed_would_reject(tmp_path, capsys,
     assert err == f"invalid config: {message}\n"
 
 
+@pytest.mark.parametrize("blocks,message", [
+    ([{"kind": "l1", "dim": 2}], "coupling block 0 has dim 2, expected 1"),
+    ([ZERO, ZERO],
+     "problem.coupling.blocks: expected 1 entries, one per block, got 2"),
+], ids=["block_dim", "block_count"])
+def test_validate_rejects_a_separable_coupling_that_does_not_match_dims(
+        tmp_path, capsys, blocks, message):
+    doc = _with("dr", "coupling", {"type": "separable", "blocks": blocks})
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["validate", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"invalid config: {message}\n"
+
+
 WIDE_GRID = [[[[1.0, 0.0]]]]  # one primal block of two columns, not one
 
 

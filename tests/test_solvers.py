@@ -783,3 +783,20 @@ def test_divergence_ends_the_run_and_keeps_its_trace():
     with np.errstate(over="ignore"), \
             pytest.raises(bs.NonFiniteError, match="must be finite"):
         T.evaluate(0, trace.final)
+
+
+def test_pd_dr_overflow_in_the_graph_projector_is_a_divergence():
+    # L'y = 2e308 overflows in the first projection, which must end the run
+    # as a divergence, not as an assertion of the projector's debug check
+    problem = bs.assemble_pd_problem(
+        [bs.L1Norm(1)], [bs.SquaredDistance([0.0]), bs.SquaredDistance([0.0])],
+        [[np.array([[1.0]])], [np.array([[1.0]])]])
+    x0 = bs.construct(problem.h_dims, [[1e308]])
+    cfg = cfg_for(3, tolerance=0.0, max_iterations=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning escapes
+        trace, solution = bs.run_pd_dr(problem, 1.0, cfg, x0)
+    assert trace.termination == "diverged"
+    assert trace.records == ()
+    assert np.array_equal(trace.final.flat, [1e308, 1e308, 1e308])
+    assert solution is None

@@ -1,8 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocksweep import (
@@ -20,6 +21,7 @@ from blocksweep import (
     single_block,
     sweeping,
 )
+from blocksweep.cli import execute_run, parse_config
 
 
 def test_single_block_m1_always_active():
@@ -269,3 +271,143 @@ def test_draw_generators_are_seeded_from_the_key_list(seed, n, stream):
         np.random.SeedSequence([seed & 0xFFFFFFFF, n, stream]))
     got = sweeping._rng(seed, n, stream)
     assert got.bit_generator.state == want.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# chunk-seeded draws, as the drivers make them
+# ---------------------------------------------------------------------------
+
+M32 = 2**32 - 1
+STREAMS = st.one_of(st.sampled_from([sweeping._MASK_STREAM,
+                                     sweeping._ERROR_STREAM + 1,
+                                     sweeping._ERROR_STREAM + 4]), WORD)
+# starts below 16, at the chunk doublings, at random, and next to 2**32 - 1
+STARTS = st.one_of(st.sampled_from([0, 10, 15, 16, 31, 32, 63, 4095, 4096,
+                                    M32 - 150, M32 - 1, M32]),
+                   st.integers(0, M32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.one_of(st.just(M32), st.integers(-2**40, 2**40)),
+       stream=STREAMS, start=STARTS, count=st.integers(100, 160),
+       slack=st.integers(0, 5000))
+# the first chunks of a run, and a run that reaches n = 2**32 - 1 and past
+@example(seed=M32, stream=sweeping._MASK_STREAM, start=0, count=160, slack=0)
+@example(seed=M32, stream=M32, start=M32 - 120, count=125, slack=9)
+def test_chunk_seeded_generators_equal_per_call_seeding(seed, stream, start,
+                                                        count, slack):
+    # at least 10**4 keys over the examples; the run ends ``slack`` past
+    # the last key read, so chunks are also cut short by the run's end
+    gens = sweeping._Generators(seed, stream, start + count + slack)
+    for n in range(start, start + count):
+        key = [seed & M32, n, stream]
+        want = np.random.PCG64(np.random.SeedSequence(key)).state
+        assert gens(n).bit_generator.state == want, key
+
+
+def test_chunk_seeded_generators_allow_any_order():
+    gens = sweeping._Generators(7, sweeping._MASK_STREAM, 10**6)
+    for n in [40, 17, 10**5, 39, 16, 10**6 - 1, 3, 10**6 + 5]:
+        want = np.random.PCG64(
+            np.random.SeedSequence([7, n, sweeping._MASK_STREAM])).state
+        assert gens(n).bit_generator.state == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 40),
+       scheme=st.sampled_from(["single_block", "independent_bernoulli",
+                               "fixed_subset_size"]),
+       rule_seed=st.integers(0, M32), seed=st.one_of(st.just(M32), WORD),
+       start=st.sampled_from([0, 14, 30, 100, 4090, M32 - 40]))
+def test_chunk_seeded_masks_equal_sample_mask(m, scheme, rule_seed, seed,
+                                              start):
+    rng = np.random.default_rng(rule_seed)
+    if scheme == "single_block":
+        rule = single_block(m, 10.0 ** rng.uniform(-3.0, 3.0, m))
+    elif scheme == "independent_bernoulli":
+        rule = independent_bernoulli(rng.uniform(1e-3, 1.0, m))
+    else:
+        rule = fixed_subset_size(m, int(rng.integers(1, m + 1)))
+    end = start + 80
+    draws = sweeping._mask_draws(rule, seed, end)
+    for n in range(start, end):
+        assert draws(n) == sample_mask(rule, n, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 30), seed=st.one_of(st.just(M32), WORD),
+       slot=st.integers(1, 4), start=st.sampled_from([0, 14, 30, 100]))
+def test_chunk_seeded_errors_equal_sample_error(d, seed, slot, start):
+    dims = BlockDims([d])
+    end = start + 60
+    for model in (ErrorModel("gaussian_decay", 0.5, 0.9),
+                  ErrorModel("deterministic_decay", 0.5, 0.9),
+                  ErrorModel("none")):
+        draws = sweeping._error_draws(model, d, seed, slot, end)
+        for n in range(start, end):
+            want = sample_error(model, dims, n, seed, stream=slot).flat
+            assert np.array_equal(draws(n), want)
+
+
+# ---------------------------------------------------------------------------
+# Bernoulli masks: bounded time, same law
+# ---------------------------------------------------------------------------
+
+
+def test_batched_bernoulli_redraws_equal_the_plain_rejection_loop():
+    # about 300 all-zero draws before a hit, so the redraws come in batches
+    rule = independent_bernoulli([1e-3, 2e-3])
+    for n in range(40):
+        draw = np.random.default_rng(
+            np.random.SeedSequence([5, n, sweeping._MASK_STREAM]))
+        while True:
+            hit = draw.random(2) < np.asarray(rule.probabilities)
+            if hit.any():
+                break
+        assert sample_mask(rule, n, 5).bits == tuple(hit.astype(int).tolist())
+
+
+def test_tiny_bernoulli_probability_runs_in_bounded_time(tmp_path):
+    rc = parse_config(
+        "problem: {kind: km, dims: [1], operator: {type: affine, "
+        "matrix: [[0.5]]}}\n"
+        "solver: {relaxation: 0.5, max_iterations: 10, tolerance: 0.0}\n"
+        "sweeping: {scheme: independent_bernoulli, probabilities: [1.0e-7]}\n"
+        "seeds: [0]\n")
+    started = time.perf_counter()
+    assert execute_run(rc, str(tmp_path)) == 2  # budget exhausted
+    assert time.perf_counter() - started < 1.0
+    rows = (tmp_path / "trace_seed0.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["1"] * 10
+
+
+def _binomial_ok(count, trials, p, z=5.0):
+    return abs(count - trials * p) <= z * math.sqrt(trials * p * (1.0 - p))
+
+
+def test_bernoulli_with_tiny_probabilities_has_the_conditional_marginals():
+    # all-zero patterns are almost certain, so these masks come from the
+    # direct draw of the nonzero law; its marginals are q_i / (1 - prod(1-q))
+    q = [2e-9, 1e-9, 5e-10]
+    rule = independent_bernoulli(q)
+    trials = 1500
+    counts = np.zeros(3)
+    for n in range(trials):
+        counts += sample_mask(rule, n, seed=3).bits
+    keep = -math.expm1(sum(math.log1p(-qi) for qi in q))
+    for count, qi in zip(counts, q):
+        assert _binomial_ok(count, trials, qi / keep)
+
+
+def test_direct_nonzero_draw_has_the_exact_pattern_law():
+    q = np.array([0.3, 0.5, 0.2])
+    law = mask_law(independent_bernoulli(q))
+    rng = np.random.default_rng(2024)
+    trials = 20000
+    counts = {}
+    for _ in range(trials):
+        bits = sweeping._nonzero_bits(q, rng)
+        counts[bits] = counts.get(bits, 0) + 1
+    assert set(counts) <= {mask.bits for mask, _ in law.support}
+    for mask, p in law.support:
+        assert _binomial_ok(counts.get(mask.bits, 0), trials, p)
