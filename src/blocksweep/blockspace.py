@@ -120,15 +120,27 @@ class BlockVector:
         return f"BlockVector({inner})"
 
 
+_all = np.logical_and.reduce
+
+
+def _finite(flat: np.ndarray) -> np.ndarray:
+    """``flat`` itself once every entry is checked finite.
+
+    Raises ``NonFiniteError`` otherwise.  The scan calls the ufunc reduction
+    directly: ``ndarray.all`` goes through numpy's Python-level wrapper.
+    """
+    if not _all(np.isfinite(flat)):
+        raise NonFiniteError("block entries must be finite")
+    return flat
+
+
 def _settle(vec: BlockVector, dims: BlockDims, flat: np.ndarray) -> None:
     """Check ``flat`` and make it the read-only data of ``vec``."""
     if flat.shape != (dims.total,):
         raise ShapeError(
             f"flat data has shape {flat.shape}, expected ({dims.total},)"
         )
-    if not np.isfinite(flat).all():
-        raise NonFiniteError("block entries must be finite")
-    flat.setflags(write=False)
+    _finite(flat).setflags(write=False)
     object.__setattr__(vec, "dims", dims)
     object.__setattr__(vec, "flat", flat)
 
@@ -287,12 +299,36 @@ def _masked_flat(x: np.ndarray, active, relax: float, target: np.ndarray,
 
 
 def distance(x: BlockVector, y: BlockVector) -> float:
-    """Euclidean distance ``||x - y||`` on the product space."""
+    """Euclidean distance ``||x - y||`` on the product space.
+
+    Finite whenever ``x - y`` is: see ``_norm``.
+    """
     _check_same_dims(x, y)
-    return _distance_flat(x.flat, y.flat)
+    return _norm(x.flat - y.flat)
 
 
 def _distance_flat(x: np.ndarray, y: np.ndarray) -> float:
-    """``distance`` on flat arrays: the arithmetic of ``np.linalg.norm``."""
+    """The drivers' residual and distance columns: ``math.sqrt(d.dot(d))``.
+
+    This is the arithmetic of ``np.linalg.norm``; it reads ``inf`` once
+    ``||x - y||`` passes about 1.3e154, because the squares overflow.
+    """
     d = x - y
     return math.sqrt(d.dot(d))
+
+
+def _norm(v: np.ndarray) -> float:
+    """``||v||`` for a finite ``v``, without overflow in the squares.
+
+    ``math.sqrt(v.dot(v))`` (so its bits) when that is finite; only when it
+    is ``inf`` the sum of squares is recomputed on ``v / max|v|``.  The dot
+    products are ``np.vdot``: the same BLAS call as ``ndarray.dot``, which
+    does not turn an overflow into a ``RuntimeWarning``.
+    """
+    r = math.sqrt(np.vdot(v, v))
+    if r == math.inf:
+        s = float(np.abs(v).max())
+        if s < math.inf:
+            u = v / s
+            r = s * math.sqrt(np.vdot(u, u))
+    return r

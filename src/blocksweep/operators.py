@@ -15,10 +15,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .blockspace import BlockDims, BlockVector
+from .blockspace import BlockDims, BlockVector, _finite, _norm
 from .errors import (
     CapabilityError,
-    NonFiniteError,
     NumericError,
     ParameterError,
     ShapeError,
@@ -413,20 +412,20 @@ def _elementwise(term):
 class _Group:
     """The blocks of one elementwise kind, gathered once.
 
-    ``idx`` selects their entries from the flat vector (a slice when they
-    are contiguous); the per-block parameters are stacked entry by entry so
-    one numpy expression reproduces every per-block call exactly.
+    ``idx`` selects their entries from the flat vector and ``ids`` their
+    blocks (slices when they are contiguous); the per-block parameters are
+    stacked entry by entry so one numpy expression reproduces every
+    per-block call exactly.
     """
 
     def __init__(self, kind, members, offsets):
         self.kind = kind
-        self.ids = np.array([i for i, _ in members])
+        self.blocks = ids = [i for i, _ in members]
+        self.ids = _as_slice(np.array(ids))
         fns = [f for _, f in members]
         sizes = [f.dim for f in fns]
-        idx = np.concatenate([np.arange(offsets[i], offsets[i + 1])
-                              for i in self.ids])
-        start, stop = int(idx[0]), int(idx[-1]) + 1
-        self.idx = slice(start, stop) if stop - start == len(idx) else idx
+        self.idx = _as_slice(np.concatenate(
+            [np.arange(offsets[i], offsets[i + 1]) for i in ids]))
         if kind is L1Norm or kind is SquaredDistance:
             self.w = np.repeat(np.array([f.weight for f in fns],
                                         dtype=np.float64), sizes)
@@ -437,36 +436,52 @@ class _Group:
             self.hi = np.concatenate([f.hi for f in fns])
             self.starts = np.cumsum([0] + sizes[:-1])
         if kind is L1Norm:
-            # values sum each block, so blocks of one dim share a 2-D gather
-            # whose row sums match the per-block 1-D sums bit for bit
+            # values sum each block, so blocks of one dim share a 2-D array
+            # whose sums match the per-block 1-D sums bit for bit: below 8
+            # entries a 1-D sum adds left to right, and so does a reduce
+            # over the first axis of a C-ordered (dim, blocks) array, which
+            # is much faster than one short row reduce per block; from 8
+            # entries the 1-D sum is pairwise, which the row reduce of a
+            # C-ordered (blocks, dim) array repeats.  ``take`` gathers the
+            # entries block by block (a slice when the blocks are adjacent)
             by_dim: dict[int, list] = {}
             for i, f in members:
                 by_dim.setdefault(f.dim, []).append((i, f))
             self.rows = [
-                (np.array([i for i, _ in same]),
-                 np.array([np.arange(offsets[i], offsets[i + 1])
-                           for i, _ in same]),
+                (_as_slice(np.array([i for i, _ in same])),
+                 _as_slice(np.concatenate([np.arange(offsets[i], offsets[i + 1])
+                                           for i, _ in same])),
+                 (len(same), d), 0 if d < 8 else 1,
                  np.array([f.weight for _, f in same], dtype=np.float64))
-                for same in by_dim.values()
+                for d, same in by_dim.items()
             ]
         self.fns = fns
 
     def prox(self, xs: np.ndarray, gamma: float) -> np.ndarray:
+        """The map at the group's entries ``xs``, a new array."""
         kind = self.kind
         if kind is L1Norm:
-            return np.sign(xs) * np.maximum(np.abs(xs) - self.w * gamma, 0.0)
+            # sign(x) * max(|x| - w gamma, 0), with one array for the steps
+            out = np.abs(xs)
+            out -= self.w * gamma
+            np.maximum(out, 0.0, out=out)
+            out *= np.sign(xs)
+            return out
         if kind is SquaredDistance:
             gw = gamma * self.w
             return (xs + gw * self.center) / (1.0 + gw)
         if kind is BoxIndicator:
             return np.clip(xs, self.lo, self.hi)
-        return xs  # Zero
+        return xs.copy()  # Zero
 
     def values(self, flat: np.ndarray, out: np.ndarray, offsets) -> None:
         kind = self.kind
         if kind is L1Norm:
-            for ids, rows, w in self.rows:
-                out[ids] = w * np.abs(flat[rows]).sum(axis=1)
+            for ids, take, shape, axis, w in self.rows:
+                xs = flat[take].reshape(shape)
+                if axis == 0:
+                    xs = xs.T
+                out[ids] = w * np.add.reduce(np.abs(xs, order="C"), axis=axis)
         elif kind is BoxIndicator:
             xs = flat[self.idx]
             inside = (xs >= self.lo) & (xs <= self.hi)
@@ -476,8 +491,15 @@ class _Group:
             out[self.ids] = 0.0
         else:
             # sq_l2 values are BLAS dot products: keep the per-block call
-            for i, f in zip(self.ids, self.fns):
+            for i, f in zip(self.blocks, self.fns):
                 out[i] = f.value(flat[offsets[i]:offsets[i + 1]])
+
+
+def _as_slice(idx: np.ndarray) -> slice | np.ndarray:
+    """Increasing indices ``idx``, as a slice when they are consecutive."""
+    if idx.size and idx[-1] + 1 - idx[0] == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 _KERNELS = (L1Norm, SquaredDistance, BoxIndicator, Zero)
@@ -493,7 +515,9 @@ class SeparableSweep:
     per kind over index arrays built here, with results equal entry for
     entry to the per-block calls.  ``quadratic``, ball, ``LinearMonotone``
     and any other term keep their per-block call.  Each sweep makes one dims
-    check and one gamma check.
+    check and one gamma check.  ``_apply_flat`` and ``_values_flat`` are the
+    array cores of ``apply`` and ``values``: they check neither dims nor
+    finiteness and return new arrays.
     """
 
     def __init__(self, terms: Sequence, method: str):
@@ -510,6 +534,9 @@ class SeparableSweep:
                 grouped.setdefault(type(fn), []).append((i, fn))
         self._groups = [_Group(kind, members, self.dims.offsets)
                         for kind, members in grouped.items()]
+        # one kind on every block: its prox is the whole image
+        self._whole = (self._groups[0] if len(self._groups) == 1
+                       and not self._loose else None)
 
     def _check(self, x: BlockVector) -> None:
         if x.dims != self.dims:
@@ -518,7 +545,17 @@ class SeparableSweep:
     def apply(self, x: BlockVector, gamma) -> BlockVector:
         """The blockwise map at ``x`` with parameter ``gamma``."""
         self._check(x)
-        flat, off = x.flat, self.dims.offsets
+        return BlockVector._own(self.dims, self._apply_flat(x.flat, gamma))
+
+    def values(self, x: BlockVector) -> list[float]:
+        """Per-block function values at ``x``, in block order."""
+        self._check(x)
+        return self._values_flat(x.flat).tolist()
+
+    def _apply_flat(self, flat: np.ndarray, gamma) -> np.ndarray:
+        if self._whole is not None:
+            return self._whole.prox(flat, _check_gamma(gamma))
+        off = self.dims.offsets
         out = np.empty_like(flat)
         if self._groups:
             g = _check_gamma(gamma)
@@ -531,18 +568,48 @@ class SeparableSweep:
                 raise ShapeError(f"block {i} has shape {arr.shape}, expected "
                                  f"({self.dims.dims[i]},)")
             out[off[i]:off[i + 1]] = arr
-        return BlockVector._own(self.dims, out)
+        return out
 
-    def values(self, x: BlockVector) -> list[float]:
-        """Per-block function values at ``x``, in block order."""
-        self._check(x)
-        flat, off = x.flat, self.dims.offsets
+    def _values_flat(self, flat: np.ndarray) -> np.ndarray:
+        off = self.dims.offsets
         out = np.empty(self.dims.m)
         for group in self._groups:
             group.values(flat, out, off)
         for i, term in self._loose:
             out[i] = term.value(flat[off[i]:off[i + 1]])
-        return out.tolist()
+        return out
+
+
+def _sweep_map(sweep) -> Callable[[np.ndarray, float], np.ndarray]:
+    """``sweep``'s map on flat arrays, ``(flat, gamma) -> new array``.
+
+    An object that only has the public ``dims`` and ``apply`` of a sweep is
+    called through ``apply``.  The value is not checked finite.
+    """
+    core = getattr(sweep, "_apply_flat", None)
+    if core is not None:
+        return core
+    dims = sweep.dims
+    return lambda x, gamma: _data(sweep.apply(BlockVector._own(dims, x),
+                                              gamma), dims.total)
+
+
+def _sweep_values(sweep) -> Callable[[np.ndarray], np.ndarray]:
+    """``sweep``'s per-block values at a flat array, as an array."""
+    core = getattr(sweep, "_values_flat", None)
+    if core is not None:
+        return core
+    dims = sweep.dims
+    return lambda x: np.array(sweep.values(BlockVector._own(dims, x)),
+                              dtype=np.float64)
+
+
+def _data(v: BlockVector, total: int) -> np.ndarray:
+    """The flat data of an operator's value, checked against the iterate."""
+    if v.flat.shape != (total,):
+        raise ShapeError(f"operator value has {v.flat.shape[0]} entries, "
+                         f"expected {total}")
+    return v.flat
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +755,10 @@ class _SmoothRows:
     single rounded square; a longer dot product is left to BLAS, whose
     summation order is its own.  Every other row keeps its per-row call,
     and values are returned in row order.
+
+    ``gradient`` keeps its last read-only input and image ``Lx``, and
+    ``image`` hands that image back for the same array, so an objective
+    evaluated at the point of the last gradient does not multiply again.
     """
 
     def __init__(self, L: LinearBlockOperator, grads: Sequence[SmoothTerm]):
@@ -704,20 +775,18 @@ class _SmoothRows:
         sq = {k: g._sq_l2 for k, g in enumerate(grads) if hasattr(g, "_sq_l2")}
         self.loose = [k for k in range(L.p) if k not in sq]
         self.has_values = all(g.value is not None for g in grads)
-        idx = np.array([j for k in sq for j in range(off[k], off[k + 1])],
-                       dtype=np.intp)
-        self.idx = idx
-        if idx.size and idx[-1] + 1 - idx[0] == idx.size:
-            self.idx = slice(int(idx[0]), int(idx[-1]) + 1)
+        self.idx = _as_slice(np.array(
+            [j for k in sq for j in range(off[k], off[k + 1])], dtype=np.intp))
         self.w = np.array([f.weight for f in sq.values() for _ in range(f.dim)])
         self.center = np.array([c for f in sq.values() for c in f.center])
         # the value rows of dim 1: entry, 0.5 * weight and center per row
         ones = [k for k, f in sq.items() if f.dim == 1]
-        self.value_rows = ones
+        self.value_rows = np.array(ones, dtype=np.intp)
         self.value_at = np.array([off[k] for k in ones], dtype=np.intp)
         self.value_half_w = np.array([0.5 * sq[k].weight for k in ones])
         self.value_center = np.array([sq[k].center[0] for k in ones])
         self.value_loose = [k for k in range(L.p) if k not in ones]
+        self._last = (None, None)
 
     def apply(self, x: BlockVector) -> BlockVector:
         """The chain-rule gradient at ``x``."""
@@ -730,6 +799,10 @@ class _SmoothRows:
         L = self.L.stacked
         y = L @ x
         y.setflags(write=False)
+        if not x.flags.writeable:
+            self._last = (x, y)
+        if not self.loose:  # every row is a squared distance
+            return L.T @ (self.w * (y - self.center))
         g = np.empty_like(y)
         g[self.idx] = self.w * (y[self.idx] - self.center)
         off = self.off
@@ -743,12 +816,16 @@ class _SmoothRows:
             g[sl] = arr
         return L.T @ g
 
-    def values(self, y: np.ndarray) -> list:
+    def image(self, x: np.ndarray) -> np.ndarray:
+        """``Lx`` at flat ``x``: the last gradient's when ``x`` is its input."""
+        last_x, last_y = self._last
+        return last_y if x is last_x else self.L.stacked @ x
+
+    def values(self, y: np.ndarray) -> np.ndarray:
         """Every row's value at the flat image ``y``, in row order."""
-        out = [None] * len(self.grads)
+        out = np.empty(len(self.grads))
         d = y[self.value_at] - self.value_center
-        for k, v in zip(self.value_rows, (self.value_half_w * (d * d)).tolist()):
-            out[k] = v
+        out[self.value_rows] = self.value_half_w * (d * d)
         off = self.off
         for k in self.value_loose:
             out[k] = self.grads[k].value(y[off[k]:off[k + 1]])
@@ -793,7 +870,13 @@ def cocoercivity_bound(L: LinearBlockOperator, taus: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class CocoerciveOperator:
-    """A single-valued cocoercive map on the product space."""
+    """A single-valued cocoercive map on the product space.
+
+    ``_flat`` is its map on flat arrays, ``x -> new array``, which
+    ``forward_step_family`` calls.  An operator built here calls ``apply``
+    through a ``BlockVector`` wrap; ``coupling_forward_operator`` replaces
+    that by the gradient's own core.
+    """
 
     dims: BlockDims
     apply: Callable[[BlockVector], BlockVector]
@@ -802,6 +885,9 @@ class CocoerciveOperator:
     def __post_init__(self):
         if self.theta <= 0:
             raise ParameterError("cocoercivity constant must be > 0")
+        apply, dims = self.apply, self.dims
+        object.__setattr__(self, "_flat", lambda x: _data(
+            apply(BlockVector._own(dims, x)), dims.total))
 
 
 def coupling_forward_operator(
@@ -811,9 +897,17 @@ def coupling_forward_operator(
 
     The smooth rows are grouped once here, not on every evaluation.
     """
-    rows = _SmoothRows(L, grads)
-    theta = cocoercivity_bound(L, [g.lipschitz for g in grads])
-    return CocoerciveOperator(L.source_dims, rows.apply, theta)
+    return _coupling_operator(_SmoothRows(L, grads))
+
+
+def _coupling_operator(rows: _SmoothRows) -> CocoerciveOperator:
+    """``coupling_forward_operator`` of already grouped rows."""
+    theta = cocoercivity_bound(rows.L, [g.lipschitz for g in rows.grads])
+    B = CocoerciveOperator(rows.L.source_dims, rows.apply, theta)
+    # not checked: the forward step, its one caller, checks x - gamma_n B(x),
+    # which is not finite whenever B(x) is not
+    object.__setattr__(B, "_flat", rows.gradient)
+    return B
 
 
 class GraphSubspace:
@@ -880,20 +974,20 @@ def _graph_projection_flat(
 
     Raises ``NonFiniteError`` when ``t`` or ``Lt`` is not finite, before the
     debug check could compare routes that overflowed.  The norms of the
-    check are ``math.sqrt(v.dot(v))``, which is what ``np.linalg.norm``
-    computes for a 1-D float64 array.
+    check are ``_norm``: what ``np.linalg.norm`` computes for a 1-D float64
+    array whenever that is finite, and finite for every finite input.
     """
     L = V.operator.stacked
     t = V._solve(V._h_factor, x + L.T @ y)
     lt = L @ t
-    if not (np.isfinite(t).all() and np.isfinite(lt).all()):
-        raise NonFiniteError("block entries must be finite")
+    _finite(t)
+    _finite(lt)
     if __debug__:
         s = V._solve(V._g_factor, L @ x - y)
         dt = t - (x - L.T @ s)
         dlt = lt - (y + s)
-        scale = 1.0 + math.sqrt(x.dot(x)) + math.sqrt(y.dot(y))
-        gap = math.hypot(math.sqrt(dt.dot(dt)), math.sqrt(dlt.dot(dlt)))
+        scale = 1.0 + _norm(x) + _norm(y)
+        gap = math.hypot(_norm(dt), _norm(dlt))
         assert gap <= 1e-9 * scale, f"projector routes disagree by {gap:.3e}"
     return t, lt
 
@@ -954,6 +1048,13 @@ class BlockOperatorFamily:
     the iteration-``n`` operator.  The regularity tag declares the class the
     family claims to belong to; for averaged families ``averaging`` gives the
     averaging constant, a float or a ``Schedule``, kept as a ``Schedule``.
+
+    ``_flat(n, x)`` is the same map on flat float64 arrays, which the
+    drivers call: it returns the image as an array checked finite that no
+    one writes to, and does not write to ``x``.  A family built here calls
+    ``evaluate`` on a ``BlockVector`` wrap of ``x``; the factories below
+    give their families an array core instead, and their ``evaluate``
+    wraps the value of the same map as a ``BlockVector``.
     """
 
     dims: BlockDims
@@ -972,11 +1073,37 @@ class BlockOperatorFamily:
             raise ParameterError("averaged families need an averaging constant")
         if self.averaging is not None:
             object.__setattr__(self, "averaging", as_schedule(self.averaging))
+        evaluate, dims = self.evaluate, self.dims
+        object.__setattr__(self, "_flat", lambda n, x: _data(
+            evaluate(n, BlockVector._own(dims, x)), dims.total))
 
     def alpha_at(self, n: int) -> float:
         if self.averaging is None:
             raise ParameterError("family has no averaging constant")
         return self.averaging.at(n)
+
+
+def _family(dims: BlockDims, image, regularity: str, averaging=None,
+            fixed_points=()) -> BlockOperatorFamily:
+    """A family of the map ``image(n, flat) -> new array``, not yet checked.
+
+    Its ``evaluate`` wraps the image as a ``BlockVector``, which checks it
+    once, and its array core checks it with ``_finite``.
+    """
+    def evaluate(n: int, x: BlockVector) -> BlockVector:
+        if x.dims != dims:
+            raise ShapeError("vector dims do not match the operator blocks")
+        return BlockVector._own(dims, image(n, x.flat))
+
+    return _with_core(
+        BlockOperatorFamily(dims, evaluate, regularity, averaging,
+                            tuple(fixed_points)),
+        lambda n, x: _finite(image(n, x)))
+
+
+def _with_core(family: BlockOperatorFamily, core) -> BlockOperatorFamily:
+    object.__setattr__(family, "_flat", core)
+    return family
 
 
 def prox_family(
@@ -991,13 +1118,14 @@ def prox_family(
     call per other block; see ``SeparableSweep``.
     """
     sweep = SeparableSweep(fs, "prox")
-    gamma = as_schedule(gamma)
+    return _sweep_family(sweep, gamma, fixed_points)
 
-    def evaluate(n: int, x: BlockVector) -> BlockVector:
-        return sweep.apply(x, gamma.at(n))
 
-    return BlockOperatorFamily(sweep.dims, evaluate, "averaged", 0.5,
-                               tuple(fixed_points))
+def _sweep_family(sweep, gamma, fixed_points=()) -> BlockOperatorFamily:
+    """The 1/2-averaged family ``x -> sweep(x, gamma_n)``."""
+    gamma, apply = as_schedule(gamma), _sweep_map(sweep)
+    return _family(sweep.dims, lambda n, x: apply(x, gamma.at(n)),
+                   "averaged", 0.5, fixed_points)
 
 
 def resolvent_family(
@@ -1015,12 +1143,7 @@ def resolvent_family(
     """
     sweep = (ops if isinstance(ops, SeparableSweep)
              else SeparableSweep(ops, "resolvent"))
-    gamma = as_schedule(gamma)
-
-    def evaluate(n: int, x: BlockVector) -> BlockVector:
-        return sweep.apply(x, gamma.at(n))
-
-    return BlockOperatorFamily(sweep.dims, evaluate, "averaged", 0.5)
+    return _sweep_family(sweep, gamma)
 
 
 def forward_step_family(B: CocoerciveOperator | None, gamma,
@@ -1033,18 +1156,13 @@ def forward_step_family(B: CocoerciveOperator | None, gamma,
     if B is None:
         if dims is None:
             raise ParameterError("need dims when the forward operator is absent")
-        return BlockOperatorFamily(
-            dims, lambda n, x: x, "averaged", 1e-9
-        )
+        return _with_core(
+            BlockOperatorFamily(dims, lambda n, x: x, "averaged", 1e-9),
+            lambda n, x: x)
 
-    gamma = as_schedule(gamma)
-
-    def evaluate(n: int, x: BlockVector) -> BlockVector:
-        return BlockVector._own(B.dims,
-                                x.flat - gamma.at(n) * B.apply(x).flat)
-
-    return BlockOperatorFamily(B.dims, evaluate, "averaged",
-                               gamma.scaled(1.0 / (2.0 * B.theta)))
+    gamma, grad = as_schedule(gamma), B._flat
+    return _family(B.dims, lambda n, x: x - gamma.at(n) * grad(x), "averaged",
+                   gamma.scaled(1.0 / (2.0 * B.theta)))
 
 
 def affine_family(
@@ -1065,17 +1183,16 @@ def affine_family(
     if c.shape != (dims.total,):
         raise ShapeError("offset must match the total dimension")
 
-    def evaluate(n: int, x: BlockVector) -> BlockVector:
-        return BlockVector._own(dims, S @ x.flat + c)
-
-    return BlockOperatorFamily(dims, evaluate, regularity, averaging,
-                               tuple(fixed_points))
+    return _family(dims, lambda n, x: S @ x + c, regularity, averaging,
+                   fixed_points)
 
 
 def constant_family(z: BlockVector) -> BlockOperatorFamily:
     """Constant map; quasinonexpansive with unique fixed point ``z``."""
-    return BlockOperatorFamily(z.dims, lambda n, x: z, "quasinonexpansive",
-                               fixed_points=(z,))
+    return _with_core(
+        BlockOperatorFamily(z.dims, lambda n, x: z, "quasinonexpansive",
+                            fixed_points=(z,)),
+        lambda n, x: z.flat)
 
 
 def box_projection_family(lo, hi, dims: BlockDims) -> BlockOperatorFamily:

@@ -14,15 +14,20 @@ the active blocks only.  The relaxed drivers share one measure/step pair
 (``_km``), the splitting drivers another (``_splitting``).  Each driver
 checks its cheap preconditions in one ``_check_*`` function, which the CLI
 also calls when it parses a config; the loop itself compares no
-``BlockDims`` (the public callables it calls keep their own checks).
+``BlockDims``.
 
-The loop works on flat float64 arrays.  Error draws, targets, reflections,
-distances, the masked update and ``run_pd_dr``'s graph projection stay
-arrays; a ``BlockVector`` is built only where a public callable takes or
-returns one: the iterate once per iteration, the values of families,
-sweeps and ``run_dr``'s coupled resolvent, and so the snapshots and the
-final point.  Every such vector, and the projection, is checked to be
-finite, and a ``NonFiniteError`` from any of them ends the run with
+The loop works on flat float64 arrays: the iterate, error draws, targets,
+reflections, distances, the masked update and every operator value.  It
+calls the array cores of the operators: each family's ``_flat``, the
+resolvent sweeps' ``_apply_flat``, ``run_pd_dr``'s graph projection and
+``CoupledMinProblem``'s objective.  A ``BlockVector`` is built only for a
+callable that takes or returns one (a family built from an ``evaluate``
+alone, ``run_dr``'s coupled resolvent, a forward operator or objective
+given as a plain callable), and for the snapshots and the final point.
+Every family's value, the reflected point and the resolvent sweep of the
+splitting drivers, the graph projection, every value perturbed by an error
+draw and every new iterate are checked to be finite, and a
+``NonFiniteError`` from any of them ends the run with
 ``termination="diverged"``: the trace keeps the completed iterations and
 ``final`` is the last finite iterate.  The loop runs under one
 ``np.errstate`` that keeps the overflow warnings of a diverging run quiet.
@@ -50,7 +55,7 @@ Drivers
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -59,6 +64,7 @@ from .blockspace import (
     BlockDims,
     BlockVector,
     _distance_flat,
+    _finite,
     _masked_flat,
     combine,
     distance,
@@ -76,9 +82,12 @@ from .operators import (
     SmoothTerm,
     Subdifferential,
     _SmoothRows,
+    _coupling_operator,
+    _data,
     _graph_projection_flat,
+    _sweep_map,
+    _sweep_values,
     as_schedule,
-    coupling_forward_operator,
     forward_step_family,
     graph_projection,
     resolvent_family,
@@ -314,12 +323,13 @@ class CoupledMinProblem:
 
     def __post_init__(self):
         _check_terms(tuple(f.dim for f in self.fs), self.dims, "function")
-        object.__setattr__(self, "_forward",
-                           coupling_forward_operator(self.L, self.smooth))
-        object.__setattr__(self, "_rows", _SmoothRows(self.L, self.smooth))
+        rows = _SmoothRows(self.L, self.smooth)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_forward", _coupling_operator(rows))
         object.__setattr__(self, "resolvents", SeparableSweep(
             [Subdifferential(f) for f in self.fs], "resolvent"))
-        object.__setattr__(self, "_sweep", SeparableSweep(self.fs, "prox"))
+        object.__setattr__(self, "_values", _sweep_values(
+            SeparableSweep(self.fs, "prox")))
 
     @property
     def dims(self) -> BlockDims:
@@ -329,12 +339,31 @@ class CoupledMinProblem:
         return self._forward
 
     def objective(self, x: BlockVector) -> float | None:
-        if not self._rows.has_values:
+        """The objective at ``x``, or None when a smooth term has no value.
+
+        The block values are added left to right from 0.0, then the row
+        values the same way, and the two sums added: what ``sum`` gives on
+        Python 3.10 and 3.11.  Python 3.12 compensates ``sum`` over floats,
+        so the order is spelled out to keep the bits on every version.
+        """
+        return self._objective_flat(x.flat)
+
+    def _objective_flat(self, x: np.ndarray) -> float | None:
+        rows = self._rows
+        if not rows.has_values:
             return None
-        # grouped per-block and per-row values, added in order as one loop
-        total = sum(self._sweep.values(x))
-        total += sum(self._rows.values(self.L.stacked @ x.flat))
-        return float(total)
+        return (_ordered_sum(self._values(x))
+                + _ordered_sum(rows.values(rows.image(x))))
+
+
+def _ordered_sum(values) -> float:
+    """``0.0 + v[0] + v[1] + ...`` added left to right; ``values`` not empty.
+
+    The running sum from ``v[0]`` differs from the one from ``0.0`` only
+    while it is ``-0.0``, and ``+ 0.0`` turns a total of ``-0.0`` into the
+    ``0.0`` that the sum from ``0.0`` ends with.
+    """
+    return float(np.add.accumulate(values)[-1]) + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -416,29 +445,29 @@ def _paired_error_sampler(
     return sample
 
 
-def _data(v: BlockVector, total: int) -> np.ndarray:
-    """The flat data of an operator's value, checked against the iterate."""
-    if v.flat.shape != (total,):
-        raise ShapeError(f"operator value has {v.flat.shape[0]} entries, "
-                         f"expected {total}")
-    return v.flat
-
-
 def _engine(
     cfg: SolverConfig,
     x0: BlockVector,
     relaxation: Schedule,
-    measure: Callable[[int, BlockVector], tuple],
+    measure: Callable[[int, np.ndarray], tuple],
     step: Callable[..., np.ndarray],
 ) -> IterateTrace:
     """The iteration loop of every driver; see the module docstring.
 
-    ``measure`` returns ``(residual, stepsize, distance, objective, state)``
-    and ``state`` is handed on to ``step``, which gets the flat data of the
-    iterate and returns the next one as a new array.
+    The iterate is the flat read-only data of ``x0`` and then the arrays
+    ``step`` returns, each checked finite.  ``measure(n, x)`` returns
+    ``(residual, stepsize, distance, objective, state)`` and ``state`` is
+    handed on to ``step(n, x, mask, relax, state)``, which returns the next
+    iterate as a new array.  Snapshots and the final point are wrapped as
+    ``BlockVector``s.
     """
+    dims = x0.dims
+
+    def vector(flat: np.ndarray) -> BlockVector:
+        return x0 if flat is x0.flat else BlockVector._own(dims, flat)
+
     records: list[TraceRecord] = []
-    x = x0
+    x = x0.flat
     termination = "max_iterations"
     masks = _mask_draws(cfg.sweeping, cfg.seed, cfg.max_iterations)
     try:
@@ -453,36 +482,40 @@ def _engine(
                     break
                 mask = masks(n)
                 relax = relaxation.at(n)
-                nxt = BlockVector._own(x.dims, step(n, x.flat, mask, relax,
-                                                    state))
-                snap = x if n % cfg.snapshot_stride == 0 else None
+                nxt = _finite(step(n, x, mask, relax, state))
+                nxt.setflags(write=False)
+                snap = vector(x) if n % cfg.snapshot_stride == 0 else None
                 records.append(
                     TraceRecord(n, residual, mask.bits, relax, g, dist, obj, snap)
                 )
                 x = nxt
     except NonFiniteError:
         termination = "diverged"
-    return IterateTrace(tuple(records), x, termination)
+    return IterateTrace(tuple(records), vector(x), termination)
 
 
 def _km(
     cfg: SolverConfig,
     x0: BlockVector,
-    target_fn: Callable[[int, BlockVector], BlockVector],
+    target_fn: Callable[[int, np.ndarray], np.ndarray],
     sampler_a: Callable[[int], np.ndarray] | None,
     objective_fn: Callable[[BlockVector], float] | None = None,
     stepsize: Schedule | None = None,
 ) -> IterateTrace:
-    """Relax the active blocks toward ``target_fn(n, x) + a_n``."""
-    ref = cfg.reference.flat if cfg.reference is not None else None
-    d, offsets = x0.dims.total, x0.dims.offsets
+    """Relax the active blocks toward ``target_fn(n, x) + a_n``.
 
-    def measure(n: int, x: BlockVector) -> tuple:
-        target = _data(target_fn(n, x), d)
-        return (_distance_flat(target, x.flat),
+    ``target_fn`` maps flat arrays and returns its value checked finite.
+    """
+    ref = cfg.reference.flat if cfg.reference is not None else None
+    offsets = x0.dims.offsets
+    objective = _flat_objective(objective_fn, x0.dims)
+
+    def measure(n: int, x: np.ndarray) -> tuple:
+        target = target_fn(n, x)
+        return (_distance_flat(target, x),
                 stepsize.at(n) if stepsize is not None else None,
-                _distance_flat(x.flat, ref) if ref is not None else None,
-                objective_fn(x) if objective_fn else None,
+                _distance_flat(x, ref) if ref is not None else None,
+                objective(x) if objective else None,
                 target)
 
     def step(n: int, x: np.ndarray, mask, lam: float,
@@ -492,6 +525,23 @@ def _km(
         return _masked_flat(x, mask.active, lam, target, offsets)
 
     return _engine(cfg, x0, cfg.relaxation, measure, step)
+
+
+def _flat_objective(
+    objective_fn: Callable[[BlockVector], float] | None, dims: BlockDims
+) -> Callable[[np.ndarray], float] | None:
+    """``objective_fn`` on flat arrays.
+
+    ``CoupledMinProblem.objective`` runs on its array core; any other
+    callable gets a ``BlockVector`` wrap of the iterate.
+    """
+    if objective_fn is None:
+        return None
+    owner = getattr(objective_fn, "__self__", None)
+    if (isinstance(owner, CoupledMinProblem)
+            and objective_fn.__func__ is CoupledMinProblem.objective):
+        return owner._objective_flat
+    return lambda x: objective_fn(BlockVector._own(dims, x))
 
 
 def _final_solution(
@@ -516,7 +566,7 @@ def _splitting(
     cfg: SolverConfig,
     x0: BlockVector,
     sweep: SeparableSweep,
-    jb: Callable[[BlockVector], np.ndarray],
+    jb: Callable[[np.ndarray], np.ndarray],
     gamma: float,
     sampler_a: Callable[[int], np.ndarray] | None,
     sampler_b: Callable[[int], np.ndarray] | None,
@@ -524,7 +574,7 @@ def _splitting(
 ) -> IterateTrace:
     """The splitting step of ``run_dr`` and ``run_pd_dr``.
 
-    ``jb`` gives the flat data of the coupled resolvent at the iterate.  The
+    ``jb`` maps the flat iterate to the coupled resolvent there.  The
     shadow state ``z = jb(x) + b_n`` is read only on the active blocks,
     which are exactly the blocks it refreshes, so it is formed there and
     not carried between iterations.  The distance to the reference is
@@ -533,11 +583,11 @@ def _splitting(
     A_ops = sweep.terms
     offsets = x0.dims.offsets
     ref = cfg.reference.flat if cfg.reference is not None else None
+    resolvents = _sweep_map(sweep)
 
-    def measure(n: int, x: BlockVector) -> tuple:
+    def measure(n: int, x: np.ndarray) -> tuple:
         q = jb(x)
-        ja = sweep.apply(BlockVector._own(x.dims, 2.0 * q - x.flat),
-                         gamma).flat
+        ja = _finite(resolvents(_finite(2.0 * q - x), gamma))
         return (2.0 * _distance_flat(ja, q), gamma,
                 _distance_flat(primal(q), ref) if ref is not None else None,
                 None, q)
@@ -582,7 +632,7 @@ def run_single_layer(
     update itself is unchanged.
     """
     _check_single_layer(T, cfg, x0)
-    return _km(cfg, x0, T.evaluate, _error_sampler(cfg, "a", T.dims))
+    return _km(cfg, x0, T._flat, _error_sampler(cfg, "a", T.dims))
 
 
 def _check_single_layer(T: BlockOperatorFamily, cfg: SolverConfig,
@@ -633,20 +683,35 @@ def run_double_layer(
     sampler; ``stepsize_for_trace`` only fills the trace stepsize column.
     """
     _check_double_layer(T, R, cfg, x0)
-    dims = x0.dims
+    total = x0.dims.total
     sampler_b = _error_sampler(cfg, "b", R.dims)
     if inner_error_sampler is not None:
         def sampler_b(n: int) -> np.ndarray:
-            return _data(inner_error_sampler(n), dims.total)
+            return _data(inner_error_sampler(n), total)
+    return _double_layer(T, R, cfg, x0, sampler_b, objective_fn,
+                         stepsize_for_trace)
 
-    def target_fn(n: int, x: BlockVector) -> BlockVector:
-        y = R.evaluate(n, x)
+
+def _double_layer(
+    T: BlockOperatorFamily,
+    R: BlockOperatorFamily,
+    cfg: SolverConfig,
+    x0: BlockVector,
+    sampler_b: Callable[[int], np.ndarray] | None,
+    objective_fn: Callable[[BlockVector], float] | None,
+    stepsize: Schedule | None,
+) -> IterateTrace:
+    """``run_double_layer`` past its checks; ``sampler_b`` gives flat draws."""
+    inner, outer = R._flat, T._flat
+
+    def target_fn(n: int, x: np.ndarray) -> np.ndarray:
+        y = inner(n, x)
         if sampler_b is not None:
-            y = BlockVector._own(dims, _data(y, dims.total) + sampler_b(n))
-        return T.evaluate(n, y)
+            y = _finite(y + sampler_b(n))
+        return outer(n, y)
 
     return _km(cfg, x0, target_fn, _error_sampler(cfg, "a", T.dims),
-               objective_fn, stepsize_for_trace)
+               objective_fn, stepsize)
 
 
 def _check_double_layer(T: BlockOperatorFamily, R: BlockOperatorFamily,
@@ -733,7 +798,8 @@ def run_dr(
     if check_resolvent:
         _spot_check_resolvent(JB, dims)
     trace = _splitting(
-        cfg, x0, A, lambda v: _data(JB(v), dims.total), gamma,
+        cfg, x0, A, lambda v: _data(JB(BlockVector._own(dims, v)), dims.total),
+        gamma,
         _error_sampler(cfg, "a", dims), _error_sampler(cfg, "b", dims),
         lambda q: q,
     )
@@ -833,9 +899,8 @@ def run_pd_dr(
     y0 = y0 if y0 is not None else problem.L.apply(x0)
     V, split = problem.V, h.total
 
-    def jb(v: BlockVector) -> np.ndarray:
-        return np.concatenate(
-            _graph_projection_flat(V, v.flat[:split], v.flat[split:]))
+    def jb(v: np.ndarray) -> np.ndarray:
+        return np.concatenate(_graph_projection_flat(V, v[:split], v[split:]))
 
     trace = _splitting(
         cfg, _join_pair(x0, y0, k), problem.resolvents, jb, gamma,
@@ -907,10 +972,12 @@ def run_fb(
     ``x_i <- x_i + lambda_n (J_{gamma_n A_i}(x_i - gamma_n (B_i(x) + c_i))
     + a_i - x_i)``.  Stepsizes must stay below twice the cocoercivity
     constant theta of ``B`` (checked on a sample of pairs), and relaxations
-    inside ]0, 1] bounded away from zero.  Runs as two averaged layers: the
-    backward layer is the blockwise resolvent and the forward layer is
-    ``x - gamma_n B x``.  ``A`` may also be the resolvent ``SeparableSweep``
-    of the operators (``FbProblem.resolvents``); it is then used as is.
+    inside ]0, 1] bounded away from zero.  Runs as two averaged layers on
+    ``run_double_layer``'s loop: the backward layer is the blockwise
+    resolvent and the forward layer is ``x - gamma_n B x``; this driver's
+    check implies the double-layer bounds.  ``A`` may also be the resolvent
+    ``SeparableSweep`` of the operators (``FbProblem.resolvents``); it is
+    then used as is.
     """
     dims = x0.dims
     if not isinstance(A, SeparableSweep):
@@ -922,21 +989,13 @@ def run_fb(
     T = resolvent_family(A, gamma)
     R = forward_step_family(B, gamma, dims)
     sampler_c = _error_sampler(cfg, "c", dims)
-    inner_sampler = None
+    sampler_b = None
     if sampler_c is not None:
         # the forward perturbation c enters through the step as -gamma_n * c
-        def inner_sampler(n: int) -> BlockVector:
-            return BlockVector._own(dims, (-gamma.at(n)) * sampler_c(n))
+        def sampler_b(n: int) -> np.ndarray:
+            return _finite((-gamma.at(n)) * sampler_c(n))
 
-    layer_cfg = replace(
-        cfg, errors={k: v for k, v in cfg.errors.items() if k == "a"}
-    )
-    return run_double_layer(
-        T, R, layer_cfg, x0,
-        inner_error_sampler=inner_sampler,
-        objective_fn=objective_fn,
-        stepsize_for_trace=gamma,
-    )
+    return _double_layer(T, R, cfg, x0, sampler_b, objective_fn, gamma)
 
 
 def _check_forward_backward(A: SeparableSweep, B: CocoerciveOperator | None,

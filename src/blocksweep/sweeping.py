@@ -91,6 +91,8 @@ class SweepingRule:
             cdf.setflags(write=False)
             object.__setattr__(self, "_block_p", p)
             object.__setattr__(self, "_block_cdf", cdf)
+            # copied by every mask draw, never written
+            object.__setattr__(self, "_zeros", [0] * self.m)
         elif self.scheme == "independent_bernoulli":
             q = self.probabilities
             if q is None or len(q) != self.m:
@@ -257,8 +259,9 @@ def _draw_mask(rule: SweepingRule, rng: np.random.Generator) -> ActivationMask:
         # the draw of rng.choice(m, p=rule._block_p), without its per-call
         # validation and cumulative sum
         i = int(rule._block_cdf.searchsorted(rng.random(), side="right"))
-        return ActivationMask._unchecked((0,) * i + (1,) + (0,) * (m - i - 1),
-                                         (i,))
+        bits = rule._zeros.copy()
+        bits[i] = 1
+        return ActivationMask._unchecked(tuple(bits), (i,))
     if rule.scheme == "independent_bernoulli":
         bits = _bernoulli_bits(rule._bernoulli_q, rng)
         return ActivationMask._unchecked(

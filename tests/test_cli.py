@@ -659,3 +659,32 @@ def test_a_diverging_seed_is_reported_with_its_partial_trace(tmp_path):
     assert not seed["reached_tolerance"]
     rows = (out_dir / "trace_seed0.csv").read_text().splitlines()
     assert len(rows) == seed["iterations"] + 1 > 1000
+
+
+def test_a_diverged_seed_names_the_iteration_it_diverged_at(tmp_path):
+    unbudgeted = DIVERGING_KM.replace(", max_iterations: 2000", "")
+    rc = parse_config(unbudgeted.replace("seeds: [0]", "seeds: [0, 1]"))
+    out_dir = tmp_path / "out"
+    assert execute_run(rc, out_dir=str(out_dir)) == 2
+    report = json.loads((out_dir / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    for seed in ("0", "1"):
+        entry = report["per_seed"][seed]
+        rows = (out_dir / f"trace_seed{seed}.csv").read_text().splitlines()
+        last_n = int(rows[-1].split(",")[0])
+        assert entry["termination"] == "diverged"
+        assert entry["diverged_at"] == last_n + 1 == entry["iterations"] > 1000
+
+    # a start whose first image overflows diverges before any record
+    at_once = parse_config(unbudgeted.replace("[[1.0], [1.0]]",
+                                              "[[1.0e+308], [1.0]]"))
+    assert execute_run(at_once, out_dir=str(tmp_path / "at_once")) == 2
+    report = json.loads((tmp_path / "at_once" / "report.json").read_text())
+    assert report["per_seed"]["0"]["diverged_at"] == 0
+    assert report["per_seed"]["0"]["iterations"] == 0
+
+    # a seed that does not diverge keeps the entry it had
+    assert execute_run(rc, out_dir=str(tmp_path / "budget"), max_iter=5) == 2
+    report = json.loads((tmp_path / "budget" / "report.json").read_text())
+    assert sorted(report["per_seed"]["0"]) == [
+        "final_residual", "iterations", "reached_tolerance", "termination"]
