@@ -893,9 +893,6 @@ def _run_seed(plan: _RunPlan, seed: int, overrides: Mapping,
     last = trace.records[-1] if trace.records else None
     if last is not None and last.distance_to_reference is not None:
         entry["distance_to_reference"] = last.distance_to_reference
-    if trace.termination == "diverged":
-        # the iteration whose operator values or update stopped being finite
-        entry["diverged_at"] = last.n + 1 if last is not None else 0
     return entry
 
 
@@ -919,7 +916,7 @@ def execute_run(
     Exit status: 0 when every seed stopped at tolerance, 2 when some seed
     exhausted its budget or diverged (its trace holds the completed
     iterations, its ``termination`` is ``"diverged"`` and its
-    ``diverged_at`` the iteration that did not complete), 1 on
+    ``iterations`` is the iteration that did not complete), 1 on
     configuration or I/O errors, on an empty seed list or when some seed
     raised.  A seed that raises is recorded as ``"<Type>: <message>"``
     under its ``error`` key in the report (with the traceback on stderr for

@@ -458,7 +458,7 @@ class _Group:
         self.fns = fns
 
     def prox(self, xs: np.ndarray, gamma: float) -> np.ndarray:
-        """The map at the group's entries ``xs``, a new array."""
+        """The map at the group's entries ``xs`` (``zero`` returns ``xs``)."""
         kind = self.kind
         if kind is L1Norm:
             # sign(x) * max(|x| - w gamma, 0), with one array for the steps
@@ -472,7 +472,7 @@ class _Group:
             return (xs + gw * self.center) / (1.0 + gw)
         if kind is BoxIndicator:
             return np.clip(xs, self.lo, self.hi)
-        return xs.copy()  # Zero
+        return xs  # Zero
 
     def values(self, flat: np.ndarray, out: np.ndarray, offsets) -> None:
         kind = self.kind
@@ -534,9 +534,6 @@ class SeparableSweep:
                 grouped.setdefault(type(fn), []).append((i, fn))
         self._groups = [_Group(kind, members, self.dims.offsets)
                         for kind, members in grouped.items()]
-        # one kind on every block: its prox is the whole image
-        self._whole = (self._groups[0] if len(self._groups) == 1
-                       and not self._loose else None)
 
     def _check(self, x: BlockVector) -> None:
         if x.dims != self.dims:
@@ -553,8 +550,6 @@ class SeparableSweep:
         return self._values_flat(x.flat).tolist()
 
     def _apply_flat(self, flat: np.ndarray, gamma) -> np.ndarray:
-        if self._whole is not None:
-            return self._whole.prox(flat, _check_gamma(gamma))
         off = self.dims.offsets
         out = np.empty_like(flat)
         if self._groups:
@@ -781,7 +776,7 @@ class _SmoothRows:
         self.center = np.array([c for f in sq.values() for c in f.center])
         # the value rows of dim 1: entry, 0.5 * weight and center per row
         ones = [k for k, f in sq.items() if f.dim == 1]
-        self.value_rows = np.array(ones, dtype=np.intp)
+        self.value_rows = ones
         self.value_at = np.array([off[k] for k in ones], dtype=np.intp)
         self.value_half_w = np.array([0.5 * sq[k].weight for k in ones])
         self.value_center = np.array([sq[k].center[0] for k in ones])
@@ -801,8 +796,6 @@ class _SmoothRows:
         y.setflags(write=False)
         if not x.flags.writeable:
             self._last = (x, y)
-        if not self.loose:  # every row is a squared distance
-            return L.T @ (self.w * (y - self.center))
         g = np.empty_like(y)
         g[self.idx] = self.w * (y[self.idx] - self.center)
         off = self.off
@@ -821,11 +814,12 @@ class _SmoothRows:
         last_x, last_y = self._last
         return last_y if x is last_x else self.L.stacked @ x
 
-    def values(self, y: np.ndarray) -> np.ndarray:
+    def values(self, y: np.ndarray) -> list:
         """Every row's value at the flat image ``y``, in row order."""
-        out = np.empty(len(self.grads))
+        out = [None] * len(self.grads)
         d = y[self.value_at] - self.value_center
-        out[self.value_rows] = self.value_half_w * (d * d)
+        for k, v in zip(self.value_rows, (self.value_half_w * (d * d)).tolist()):
+            out[k] = v
         off = self.off
         for k in self.value_loose:
             out[k] = self.grads[k].value(y[off[k]:off[k + 1]])
@@ -885,9 +879,10 @@ class CocoerciveOperator:
     def __post_init__(self):
         if self.theta <= 0:
             raise ParameterError("cocoercivity constant must be > 0")
-        apply, dims = self.apply, self.dims
-        object.__setattr__(self, "_flat", lambda x: _data(
-            apply(BlockVector._own(dims, x)), dims.total))
+
+    def _flat(self, x: np.ndarray) -> np.ndarray:
+        return _data(self.apply(BlockVector._own(self.dims, x)),
+                     self.dims.total)
 
 
 def coupling_forward_operator(
@@ -1073,9 +1068,10 @@ class BlockOperatorFamily:
             raise ParameterError("averaged families need an averaging constant")
         if self.averaging is not None:
             object.__setattr__(self, "averaging", as_schedule(self.averaging))
-        evaluate, dims = self.evaluate, self.dims
-        object.__setattr__(self, "_flat", lambda n, x: _data(
-            evaluate(n, BlockVector._own(dims, x)), dims.total))
+
+    def _flat(self, n: int, x: np.ndarray) -> np.ndarray:
+        return _data(self.evaluate(n, BlockVector._own(self.dims, x)),
+                     self.dims.total)
 
     def alpha_at(self, n: int) -> float:
         if self.averaging is None:

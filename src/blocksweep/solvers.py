@@ -55,6 +55,7 @@ Drivers
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -339,31 +340,36 @@ class CoupledMinProblem:
         return self._forward
 
     def objective(self, x: BlockVector) -> float | None:
-        """The objective at ``x``, or None when a smooth term has no value.
-
-        The block values are added left to right from 0.0, then the row
-        values the same way, and the two sums added: what ``sum`` gives on
-        Python 3.10 and 3.11.  Python 3.12 compensates ``sum`` over floats,
-        so the order is spelled out to keep the bits on every version.
-        """
-        return self._objective_flat(x.flat)
+        """The objective at ``x``, or None when a smooth term has no value."""
+        # quiet as the loop is: ``inf - inf`` in the sum is a nan, no warning
+        with np.errstate(invalid="ignore"):
+            return self._objective_flat(x.flat)
 
     def _objective_flat(self, x: np.ndarray) -> float | None:
         rows = self._rows
         if not rows.has_values:
             return None
-        return (_ordered_sum(self._values(x))
-                + _ordered_sum(rows.values(rows.image(x))))
+        # grouped per-block and per-row values, each added as ``sum`` adds
+        total = _sum(self._values(x))
+        total += sum(rows.values(rows.image(x)))
+        return float(total)
 
 
-def _ordered_sum(values) -> float:
-    """``0.0 + v[0] + v[1] + ...`` added left to right; ``values`` not empty.
+if sys.version_info >= (3, 12):
+    def _sum(values: np.ndarray) -> float:
+        """``sum(values.tolist())``, which compensates from Python 3.12 on."""
+        return sum(values.tolist())
+else:
+    def _sum(values: np.ndarray) -> float:
+        """``sum(values.tolist())`` bit for bit, without building the list.
 
-    The running sum from ``v[0]`` differs from the one from ``0.0`` only
-    while it is ``-0.0``, and ``+ 0.0`` turns a total of ``-0.0`` into the
-    ``0.0`` that the sum from ``0.0`` ends with.
-    """
-    return float(np.add.accumulate(values)[-1]) + 0.0
+        Before Python 3.12 ``sum`` adds floats left to right from 0.0.  The
+        running sum from ``v[0]`` differs from that only while it is
+        ``-0.0``, and ``+ 0.0`` turns a total of ``-0.0`` into ``0.0``.
+        ``values`` is not empty.  Unlike ``sum``, ``inf - inf`` warns
+        unless the caller ignores invalid values.
+        """
+        return float(np.add.accumulate(values)[-1]) + 0.0
 
 
 # ---------------------------------------------------------------------------

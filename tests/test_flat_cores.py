@@ -9,6 +9,7 @@ final point and the termination.
 """
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -290,16 +291,32 @@ def test_sweep_values_equal_the_per_block_values(dim):
         assert [repr(v) for v in values] == [repr(v) for v in expected]
 
 
-def test_ordered_sum_adds_left_to_right_from_zero():
+def halve(n, x):
+    return bs.BlockVector(x.dims, 0.5 * x.flat)
+
+
+def negate(x):
+    return bs.BlockVector(x.dims, -x.flat)
+
+
+def test_families_of_module_level_functions_pickle():
+    dims = bs.BlockDims([1, 2])
+    x = np.array([1.0, -2.0, 4.0])
+    T = pickle.loads(pickle.dumps(
+        bs.BlockOperatorFamily(dims, halve, "averaged", averaging=0.5)))
+    assert T._flat(0, x).tolist() == [0.5, -1.0, 2.0]
+    B = pickle.loads(pickle.dumps(bs.CocoerciveOperator(dims, negate, 1.0)))
+    assert B._flat(x).tolist() == [-1.0, 2.0, -4.0]
+
+
+def test_block_sum_is_the_builtin_sum():
     rng = np.random.default_rng(10)
     for values in ([-0.0], [-0.0, -0.0], [0.0, -0.0], [math.inf, 1.0],
-                   (rng.standard_normal(1000) * 10.0 ** rng.integers(
-                       -10, 10, size=1000)).tolist()):
-        total = 0.0
-        for v in values:
-            total += v
-        assert repr(solvers._ordered_sum(np.array(values))) == repr(total)
-        assert repr(solvers._ordered_sum(values)) == repr(total)
+                   [math.inf, -math.inf], (rng.standard_normal(1000) * 10.0
+                   ** rng.integers(-10, 10, size=1000)).tolist()):
+        with np.errstate(invalid="ignore"):
+            total = solvers._sum(np.array(values))
+        assert repr(total) == repr(sum(values))
 
 
 def test_distances_of_huge_finite_vectors_are_finite_and_quiet():
