@@ -307,16 +307,6 @@ def distance(x: BlockVector, y: BlockVector) -> float:
     return _norm(x.flat - y.flat)
 
 
-def _distance_flat(x: np.ndarray, y: np.ndarray) -> float:
-    """The drivers' residual and distance columns: ``math.sqrt(d.dot(d))``.
-
-    This is the arithmetic of ``np.linalg.norm``; it reads ``inf`` once
-    ``||x - y||`` passes about 1.3e154, because the squares overflow.
-    """
-    d = x - y
-    return math.sqrt(d.dot(d))
-
-
 def _norm(v: np.ndarray) -> float:
     """``||v||`` for a finite ``v``, without overflow in the squares.
 

@@ -448,8 +448,7 @@ _OPERATORS = _Table("operator", "type", {
                 "alpha": (_schedule_node, _OMITTED),
                 "fixed_points": (_list_of(_blocks_value), _OMITTED)},
                _affine),
-    "identity": ({}, lambda s, dims: affine_family(
-        dims, np.eye(dims.total), None, "averaged", 1e-9)),
+    "identity": ({}, lambda s, dims: forward_step_family(None, 1.0, dims)),
     "constant": ({"value": (_blocks_value, _REQUIRED)},
                  lambda s, dims: constant_family(construct(dims, s["value"]))),
     "forward_step": (

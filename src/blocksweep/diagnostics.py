@@ -582,26 +582,6 @@ class ConvergenceReport:
     residual_quantiles: dict
     distance_quantiles: dict | None
 
-    def to_jsonable(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "metric": self.metric,
-            "success_fraction": self.success_fraction,
-            "residual_quantiles": self.residual_quantiles,
-            "distance_quantiles": self.distance_quantiles,
-            "per_seed": [
-                {
-                    "seed": o.seed,
-                    "residual": o.residual,
-                    "distance_to_reference": o.distance_to_reference,
-                    "iterations": o.iterations,
-                    "termination": o.termination,
-                    "error": o.error,
-                }
-                for o in self.outcomes
-            ],
-        }
-
 
 def _quantiles(values: Sequence[float]) -> dict:
     arr = np.asarray(sorted(values), dtype=np.float64)

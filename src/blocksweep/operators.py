@@ -750,10 +750,6 @@ class _SmoothRows:
     single rounded square; a longer dot product is left to BLAS, whose
     summation order is its own.  Every other row keeps its per-row call,
     and values are returned in row order.
-
-    ``gradient`` keeps its last read-only input and image ``Lx``, and
-    ``image`` hands that image back for the same array, so an objective
-    evaluated at the point of the last gradient does not multiply again.
     """
 
     def __init__(self, L: LinearBlockOperator, grads: Sequence[SmoothTerm]):
@@ -781,7 +777,6 @@ class _SmoothRows:
         self.value_half_w = np.array([0.5 * sq[k].weight for k in ones])
         self.value_center = np.array([sq[k].center[0] for k in ones])
         self.value_loose = [k for k in range(L.p) if k not in ones]
-        self._last = (None, None)
 
     def apply(self, x: BlockVector) -> BlockVector:
         """The chain-rule gradient at ``x``."""
@@ -793,9 +788,6 @@ class _SmoothRows:
         """The chain-rule gradient at flat ``x``, a new array."""
         L = self.L.stacked
         y = L @ x
-        y.setflags(write=False)
-        if not x.flags.writeable:
-            self._last = (x, y)
         g = np.empty_like(y)
         g[self.idx] = self.w * (y[self.idx] - self.center)
         off = self.off
@@ -808,11 +800,6 @@ class _SmoothRows:
                                  f"({off[k + 1] - off[k]},)")
             g[sl] = arr
         return L.T @ g
-
-    def image(self, x: np.ndarray) -> np.ndarray:
-        """``Lx`` at flat ``x``: the last gradient's when ``x`` is its input."""
-        last_x, last_y = self._last
-        return last_y if x is last_x else self.L.stacked @ x
 
     def values(self, y: np.ndarray) -> list:
         """Every row's value at the flat image ``y``, in row order."""
@@ -935,14 +922,6 @@ class GraphSubspace:
         if info != 0:  # pragma: no cover - only for an illegal argument
             raise NumericError(f"potrs failed with info {info}")
         return x
-
-    @property
-    def source_dims(self) -> BlockDims:
-        return self.operator.source_dims
-
-    @property
-    def target_dims(self) -> BlockDims:
-        return self.operator.target_dims
 
 
 def graph_projection(

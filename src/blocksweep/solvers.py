@@ -64,9 +64,9 @@ import numpy as np
 from .blockspace import (
     BlockDims,
     BlockVector,
-    _distance_flat,
     _finite,
     _masked_flat,
+    _norm,
     combine,
     distance,
 )
@@ -90,7 +90,6 @@ from .operators import (
     _sweep_values,
     as_schedule,
     forward_step_family,
-    graph_projection,
     resolvent_family,
 )
 from .sweeping import ErrorModel, SweepingRule, _error_draws, _mask_draws
@@ -301,9 +300,16 @@ class PdDrProblem:
 
     def project(self, v: BlockVector) -> BlockVector:
         """Graph projector on the paired space, the coupled resolvent."""
-        h, g = self.h_dims, self.g_dims
-        t, lt = graph_projection(self.V, *_split_pair(v, h, g))
-        return _join_pair(t, lt, self._k_dims)
+        if v.dims != self._k_dims:
+            raise ShapeError("projection input dims do not match the paired "
+                             "blocks")
+        return BlockVector._own(self._k_dims, self._project_flat(v.flat))
+
+    def _project_flat(self, v: np.ndarray) -> np.ndarray:
+        """``project`` on a flat paired array, a new array."""
+        split = self.h_dims.total
+        return np.concatenate(_graph_projection_flat(self.V, v[:split],
+                                                     v[split:]))
 
 
 @dataclass(frozen=True)
@@ -351,7 +357,7 @@ class CoupledMinProblem:
             return None
         # grouped per-block and per-row values, each added as ``sum`` adds
         total = _sum(self._values(x))
-        total += sum(rows.values(rows.image(x)))
+        total += sum(rows.values(rows.L.stacked @ x))
         return float(total)
 
 
@@ -518,9 +524,9 @@ def _km(
 
     def measure(n: int, x: np.ndarray) -> tuple:
         target = target_fn(n, x)
-        return (_distance_flat(target, x),
+        return (_norm(target - x),
                 stepsize.at(n) if stepsize is not None else None,
-                _distance_flat(x, ref) if ref is not None else None,
+                _norm(x - ref) if ref is not None else None,
                 objective(x) if objective else None,
                 target)
 
@@ -582,11 +588,13 @@ def _splitting(
 
     ``jb`` maps the flat iterate to the coupled resolvent there.  The
     shadow state ``z = jb(x) + b_n`` is read only on the active blocks,
-    which are exactly the blocks it refreshes, so it is formed there and
-    not carried between iterations.  The distance to the reference is
-    measured at ``primal(jb(x))``.
+    which are exactly the blocks it refreshes, so it is not carried between
+    iterations.  ``measure`` sweeps the resolvents of the ``A_i`` at the
+    reflection ``2 jb(x) - x`` for the residual, and ``step`` reuses that
+    sweep; only a ``b_n`` draw makes it form ``z`` over the whole vector and
+    sweep again at ``2z - x``.  The distance to the reference is measured at
+    ``primal(jb(x))``.
     """
-    A_ops = sweep.terms
     offsets = x0.dims.offsets
     ref = cfg.reference.flat if cfg.reference is not None else None
     resolvents = _sweep_map(sweep)
@@ -594,20 +602,20 @@ def _splitting(
     def measure(n: int, x: np.ndarray) -> tuple:
         q = jb(x)
         ja = _finite(resolvents(_finite(2.0 * q - x), gamma))
-        return (2.0 * _distance_flat(ja, q), gamma,
-                _distance_flat(primal(q), ref) if ref is not None else None,
-                None, q)
+        return (2.0 * _norm(ja - q), gamma,
+                _norm(primal(q) - ref) if ref is not None else None,
+                None, (q, ja))
 
-    def step(n: int, x: np.ndarray, mask, mu: float,
-             q: np.ndarray) -> np.ndarray:
-        b_n = sampler_b(n) if sampler_b is not None else None
+    def step(n: int, x: np.ndarray, mask, mu: float, state) -> np.ndarray:
+        z, ja = state
+        if sampler_b is not None:
+            z = z + sampler_b(n)
+            ja = resolvents(2.0 * z - x, gamma)
         a_n = sampler_a(n) if sampler_a is not None else None
         out = x.copy()
         for i in mask.active:
             sl = slice(offsets[i], offsets[i + 1])
-            z = q[sl] if b_n is None else q[sl] + b_n[sl]
-            ji = A_ops[i].resolvent(2.0 * z - x[sl], gamma)
-            delta = ji - z
+            delta = ja[sl] - z[sl]
             if a_n is not None:
                 delta = delta + a_n[sl]
             out[sl] = x[sl] + mu * delta
@@ -869,17 +877,6 @@ def assemble_pd_problem(
     return PdDrProblem(h_ops, g_ops, L, GraphSubspace(L))
 
 
-def _split_pair(v: BlockVector, h: BlockDims, g: BlockDims) -> tuple[BlockVector, BlockVector]:
-    return (
-        BlockVector._own(h, v.flat[: h.total].copy()),
-        BlockVector._own(g, v.flat[h.total:].copy()),
-    )
-
-
-def _join_pair(x: BlockVector, y: BlockVector, k: BlockDims) -> BlockVector:
-    return BlockVector._own(k, np.concatenate([x.flat, y.flat]))
-
-
 def run_pd_dr(
     problem: PdDrProblem,
     gamma: float,
@@ -903,23 +900,21 @@ def run_pd_dr(
     h, g, k = problem.h_dims, problem.g_dims, problem.k_dims
     _check_pd_dr(problem, gamma, cfg, x0, z0, y0, w0)
     y0 = y0 if y0 is not None else problem.L.apply(x0)
-    V, split = problem.V, h.total
-
-    def jb(v: np.ndarray) -> np.ndarray:
-        return np.concatenate(_graph_projection_flat(V, v[:split], v[split:]))
-
+    split = h.total
     trace = _splitting(
-        cfg, _join_pair(x0, y0, k), problem.resolvents, jb, gamma,
+        cfg, BlockVector._own(k, np.concatenate([x0.flat, y0.flat])),
+        problem.resolvents, problem._project_flat, gamma,
         _paired_error_sampler(cfg, "a", "b", h, g),
         _paired_error_sampler(cfg, "c", "d", h, g),
         lambda q: q[:split],
     )
 
     def solution() -> PrimalDualSolution:
-        z_final, w_final = _split_pair(problem.project(trace.final), h, g)
-        _, y_final = _split_pair(trace.final, h, g)
-        dual = combine(1.0 / gamma, w_final, -1.0 / gamma, y_final)
-        return PrimalDualSolution(primal=z_final, dual=dual)
+        x = trace.final.flat
+        zw = problem._project_flat(x)
+        dual = (1.0 / gamma) * zw[split:] + (-1.0 / gamma) * x[split:]
+        return PrimalDualSolution(primal=BlockVector._own(h, zw[:split]),
+                                  dual=BlockVector._own(g, dual))
 
     return trace, _final_solution(trace, solution)
 

@@ -91,8 +91,6 @@ class SweepingRule:
             cdf.setflags(write=False)
             object.__setattr__(self, "_block_p", p)
             object.__setattr__(self, "_block_cdf", cdf)
-            # copied by every mask draw, never written
-            object.__setattr__(self, "_zeros", [0] * self.m)
         elif self.scheme == "independent_bernoulli":
             q = self.probabilities
             if q is None or len(q) != self.m:
@@ -259,7 +257,7 @@ def _draw_mask(rule: SweepingRule, rng: np.random.Generator) -> ActivationMask:
         # the draw of rng.choice(m, p=rule._block_p), without its per-call
         # validation and cumulative sum
         i = int(rule._block_cdf.searchsorted(rng.random(), side="right"))
-        bits = rule._zeros.copy()
+        bits = [0] * m
         bits[i] = 1
         return ActivationMask._unchecked(tuple(bits), (i,))
     if rule.scheme == "independent_bernoulli":

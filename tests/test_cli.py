@@ -607,16 +607,42 @@ def _reject_constant(name):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_report_of_a_diverging_seed_is_strict_json(tmp_path):
+    # the iterate stays finite for 2000 iterations; the distance to this
+    # reference is about 2.4e308, past the largest float even when scaled
     cfg_path = tmp_path / "cfg.yaml"
-    cfg_path.write_text(DIVERGING_KM)
+    cfg_path.write_text(DIVERGING_KM
+                        + "reference: [[-1.7e+308], [-1.7e+308]]\n")
     out_dir = tmp_path / "out"
     assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 2
     report = json.loads((out_dir / "report.json").read_text(),
                         parse_constant=_reject_constant)
     seed = report["per_seed"]["0"]
-    assert seed["final_residual"] is None
     assert seed["termination"] == "max_iterations"
-    assert report["max_final_residual"] is None
+    assert seed["distance_to_reference"] is None
+    last = (out_dir / "trace_seed0.csv").read_text().splitlines()[-1]
+    residual, dist = last.split(",")[1:3]
+    assert dist == "inf"
+    assert float(residual) < float("inf")
+    assert seed["final_residual"] == float(residual)
+    assert report["max_final_residual"] == float(residual)
+
+
+def test_the_identity_operator_parses_without_a_dense_matrix():
+    import tracemalloc
+
+    # a total x total identity matrix at 3000 blocks of dim 1 is 69 MiB
+    doc = {"problem": {"kind": "km", "dims": [1] * 3000,
+                       "operator": {"type": "identity"}},
+           "solver": {"relaxation": 0.5, "max_iterations": 5},
+           "sweeping": {"scheme": "single_block"}, "seeds": [0]}
+    text = json.dumps(doc)
+    tracemalloc.start()
+    try:
+        parse_config(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_importing_the_cli_does_not_load_scipy():

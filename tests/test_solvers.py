@@ -757,6 +757,125 @@ def test_splitting_step_matches_per_block_resolvent_loop(dims, seed):
             assert np.array_equal(nxt[sl], x[sl] + mu * (ji - z + a[sl]))
 
 
+SPLIT_RULES = {
+    "single_block": lambda m: bs.single_block(m),
+    "independent_bernoulli": lambda m: bs.independent_bernoulli([0.5] * m),
+    "fixed_subset_size": lambda m: bs.fixed_subset_size(m, 2),
+}
+
+
+def _assert_error_free_step(trace, ops, jb, gamma, mu, a_draw):
+    """Every update is ``x_i + mu (J_{gamma A_i}(2q_i - x_i) - q_i + a_i)``
+    with ``q = jb(x)`` and ``a = a_draw(n)``, bit for bit."""
+    xs = trace.snapshots()
+    dims = xs[0].dims
+    assert len(trace.records) == 6 and len(xs) == 7
+    for n, record in enumerate(trace.records):
+        x, nxt = xs[n].flat, xs[n + 1].flat
+        q = jb(xs[n])
+        a = a_draw(n)
+        for i, bit in enumerate(record.mask):
+            sl = dims.slice(i)
+            if not bit:
+                assert nxt[sl].tobytes() == x[sl].tobytes()
+                continue
+            delta = ops[i].resolvent(2.0 * q[sl] - x[sl], gamma) - q[sl]
+            if a is not None:
+                delta = delta + a[sl]
+            assert nxt[sl].tobytes() == (x[sl] + mu * delta).tobytes()
+
+
+def _split_cfg(rule, mu, seed, slots):
+    model = bs.ErrorModel("gaussian_decay", 0.1, 0.8)
+    return model, SolverConfig(
+        sweeping=rule, dr_relaxation=Schedule(mu), max_iterations=6,
+        tolerance=0.0, snapshot_stride=1, seed=seed,
+        errors={slot: model for slot in slots})
+
+
+@pytest.mark.parametrize("slots", ["", "a"])
+@pytest.mark.parametrize("scheme", sorted(SPLIT_RULES))
+def test_error_free_splitting_step_matches_per_block_rule(scheme, slots):
+    # without a b draw the step reads the resolvents the residual swept
+    rng = np.random.default_rng(21)
+    dims = [2, 1, 3, 2, 1, 2, 1, 1]
+    d = bs.BlockDims(dims)
+    A = [_split_operator(i, dim, rng) for i, dim in enumerate(dims)]
+    S = rng.standard_normal((d.total, d.total))
+    coupling = bs.LinearMonotone(S @ S.T, rng.standard_normal(d.total))
+    gamma, mu, seed = 0.8, 1.2, 17
+    model, cfg = _split_cfg(SPLIT_RULES[scheme](d.m), mu, seed, slots)
+    jb = lambda v: bs.BlockVector(d, coupling.resolvent(v.flat, gamma))
+    trace, _ = bs.run_dr(A, jb, gamma, cfg,
+                         bs.BlockVector(d, rng.standard_normal(d.total)),
+                         check_resolvent=False)
+
+    def a_draw(n):
+        if slots:
+            return bs.sample_error(model, d, n, seed, stream=1).flat
+        return None
+
+    _assert_error_free_step(trace, A, lambda v: jb(v).flat, gamma, mu,
+                            a_draw)
+
+
+@pytest.mark.parametrize("slots", ["", "a"])
+@pytest.mark.parametrize("scheme", sorted(SPLIT_RULES))
+def test_error_free_pd_splitting_step_matches_per_block_rule(scheme, slots):
+    rng = np.random.default_rng(22)
+    a = rng.standard_normal((2, 2))
+    L = bs.LinearBlockOperator([[rng.standard_normal((2, 2)),
+                                 rng.standard_normal((2, 1))],
+                                [rng.standard_normal((1, 2)),
+                                 rng.standard_normal((1, 1))]])
+    problem = bs.assemble_pd_problem(
+        [bs.LinearMonotone(a @ a.T + a - a.T, rng.standard_normal(2)),
+         bs.L1Norm(1, 0.3)],
+        [bs.Quadratic(a @ a.T, rng.standard_normal(2)),
+         bs.BoxIndicator([-1.0], [1.0])], L)
+    h, g, k = problem.h_dims, problem.g_dims, problem.k_dims
+    gamma, mu, seed = 0.9, 1.3, 19
+    model, cfg = _split_cfg(SPLIT_RULES[scheme](k.m), mu, seed, slots)
+    trace, _ = bs.run_pd_dr(problem, gamma, cfg,
+                            bs.BlockVector(h, rng.standard_normal(h.total)))
+
+    def jb(v):
+        t, lt = bs.graph_projection(
+            problem.V, bs.BlockVector(h, v.flat[:h.total]),
+            bs.BlockVector(g, v.flat[h.total:]))
+        return np.concatenate([t.flat, lt.flat])
+
+    def a_draw(n):
+        # the "a" slot draws on the primal blocks; the image blocks' is "b"
+        if slots:
+            return np.concatenate([
+                bs.sample_error(model, h, n, seed, stream=1).flat,
+                np.zeros(g.total)])
+        return None
+
+    _assert_error_free_step(trace, problem.k_ops, jb, gamma, mu, a_draw)
+
+
+def test_paired_projector_is_the_graph_projection_joined():
+    rng = np.random.default_rng(23)
+    L = bs.LinearBlockOperator([[rng.standard_normal((2, 1)),
+                                 rng.standard_normal((2, 2))]])
+    problem = bs.assemble_pd_problem([bs.L1Norm(1), bs.L1Norm(2)],
+                                     [bs.SquaredDistance(np.zeros(2))], L)
+    h, g, k = problem.h_dims, problem.g_dims, problem.k_dims
+    v = bs.BlockVector(k, rng.standard_normal(k.total))
+    t, lt = bs.graph_projection(problem.V,
+                                bs.BlockVector(h, v.flat[:h.total]),
+                                bs.BlockVector(g, v.flat[h.total:]))
+    out = problem.project(v)
+    assert out.dims == k
+    assert out.flat.tobytes() == np.concatenate([t.flat, lt.flat]).tobytes()
+    with pytest.raises(bs.ShapeError):
+        problem.project(bs.construct(h))
+    with pytest.raises(bs.ShapeError):
+        problem.project(bs.BlockVector(bs.BlockDims([k.total]), v.flat))
+
+
 # ---------------------------------------------------------------------------
 # divergence
 # ---------------------------------------------------------------------------
