@@ -212,21 +212,39 @@ class ReduceResult(NamedTuple):
     weighted_norm_sq_x: float | None
 
 
+def _vec(x, dim: int, what: str = "input",
+         index: int | None = None) -> np.ndarray:
+    """``x`` as a float64 ``(dim,)`` array; a ``ShapeError`` names ``what``."""
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if arr.shape != (dim,):
+        if index is not None:  # formatted only on failure
+            what = f"{what} {index}"
+        raise ShapeError(f"{what} has shape {arr.shape}, expected ({dim},)")
+    return arr
+
+
+def _check_terms(term_dims: tuple[int, ...], dims: BlockDims, noun: str,
+                 plural: str | None = None) -> None:
+    """One term per block of ``dims``; ``term_dims`` are the terms' dims."""
+    if term_dims == dims.dims:
+        return
+    if len(term_dims) != dims.m:
+        raise ShapeError(f"need {dims.m} {plural or noun + 's'}, got "
+                         f"{len(term_dims)}")
+    i = next(i for i, d in enumerate(dims.dims) if term_dims[i] != d)
+    raise ShapeError(f"{noun} {i} has dim {term_dims[i]}, expected "
+                     f"{dims.dims[i]}")
+
+
 def construct(dims: BlockDims, init: Sequence[Sequence[float]] | None = None) -> BlockVector:
     """Build a block vector from per-block data, or the zero vector."""
     if init is None:
         return BlockVector._own(dims, np.zeros(dims.total))
     if len(init) != dims.m:
         raise ShapeError(f"expected {dims.m} blocks of data, got {len(init)}")
-    parts = []
-    for i, data in enumerate(init):
-        arr = np.atleast_1d(np.asarray(data, dtype=np.float64))
-        if arr.shape != (dims.dims[i],):
-            raise ShapeError(
-                f"block {i} has shape {arr.shape}, expected ({dims.dims[i]},)"
-            )
-        parts.append(arr)
-    return BlockVector._own(dims, np.concatenate(parts))
+    return BlockVector._own(dims, np.concatenate(
+        [_vec(data, d, "block", i)
+         for i, (data, d) in enumerate(zip(init, dims.dims))]))
 
 
 def _check_same_dims(x: BlockVector, y: BlockVector) -> None:

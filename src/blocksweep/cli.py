@@ -68,11 +68,15 @@ full grammar:
 ``{type: forward_step, smooth: [...], grid: ..., stepsize}``.
 
 Each kind of spec is one entry of a table that gives its keys (with their
-coercers and defaults) and its constructor; one walker checks every spec
-against its entry, and unknown or missing keys are rejected.  Each driver's
-own precondition check (shapes, sweeping rule, error slots, hypothesis
-bounds) runs once at parse time on the first seed's settings, so a config
-that parses passes every check a seed makes before its first iteration.
+coercers and defaults) and its constructor.  One walker checks the grammar
+of every spec against its entry: unknown or missing keys, value types, and
+one entry per block.  The values are checked only by what it feeds, with
+their own messages: the constructors (block dims, schedules, regularity
+tags, grids, box bounds) and each driver's ``_check_*`` (shapes, sweeping
+rule, error slots, hypothesis bounds), on the first seed's settings.  Both
+run at parse time, which turns their errors into a ``ConfigError``, so a
+config that parses passes every check a seed makes before its first
+iteration.
 Traces are written one CSV per seed with 17-significant-digit floats so a
 replayed run produces byte-identical files; the aggregate report is JSON.
 The only environment override is ``BLOCKSWEEP_OUT`` for the output
@@ -95,7 +99,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 import yaml
 
-from .blockspace import BlockDims, BlockVector, construct
+from .blockspace import BlockDims, BlockVector, _check_terms, construct
 from .errors import (
     BlocksweepError,
     ConfigError,
@@ -139,7 +143,6 @@ from .solvers import (
     _check_forward_backward,
     _check_pd_dr,
     _check_single_layer,
-    _check_terms,
     assemble_pd_problem,
     run_double_layer,
     run_dr,
@@ -250,23 +253,7 @@ def _matrix(value, context: str, dims=None) -> list[list[float]]:
     return rows
 
 
-_grid_rows = _list_of(_list_of(_matrix))
-
-
-def _grid(value, context: str, dims=None) -> list[list[list[list[float]]]]:
-    rows = _grid_rows(value, context)
-    if not rows or not rows[0]:
-        _fail(context, "grid must be at least 1 x 1")
-    if any(len(r) != len(rows[0]) for r in rows):
-        _fail(context, "grid rows must have equal length")
-    return rows
-
-
-def _dims(value, context: str, dims=None) -> list[int]:
-    dims = _int_list(value, context)
-    if not dims or any(d < 1 for d in dims):
-        _fail(context, "block dimensions must be positive")
-    return dims
+_grid = _list_of(_list_of(_matrix))
 
 
 def _blocks_value(value, context: str, dims) -> list[list[float]]:
@@ -277,31 +264,16 @@ def _blocks_value(value, context: str, dims) -> list[list[float]]:
     return blocks
 
 
-def _full_vector(value, context: str, dims) -> list[float]:
-    vec = _float_list(value, context)
-    if len(vec) != sum(dims):
-        _fail(context, f"expected length {sum(dims)}, got {len(vec)}")
-    return vec
-
-
-def _one_of(*choices: str):
-    def coerce(value, context: str, dims=None) -> str:
-        if value not in choices:
-            _fail(context, f"expected one of {list(choices)}, got {value!r}")
-        return value
-
-    return coerce
+def _str(value, context: str, dims=None) -> str:
+    if not isinstance(value, str):
+        _fail(context, f"expected a string, got {value!r}")
+    return value
 
 
 def _schedule_node(value, context: str, dims=None) -> dict:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return {"start": float(value)}
-    out = _walk(value, context, _RAMP)
-    if ("end" in out) != ("ramp" in out):
-        _fail(context, "a ramp needs both end and ramp")
-    if out.get("ramp", 1) < 1:
-        _fail(context, "ramp must be >= 1")
-    return out
+    return _walk(value, context, _RAMP)
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +410,12 @@ _OPERATORS = _Table("operator", "type", {
                  [_build(_FUNCTIONS, f) for f in s["functions"]],
                  s["gamma"])),
     "box_projection": (
-        {"lo": (_full_vector, _REQUIRED), "hi": (_full_vector, _REQUIRED)},
+        {"lo": (_float_list, _REQUIRED), "hi": (_float_list, _REQUIRED)},
         lambda s, dims: box_projection_family(np.array(s["lo"]),
                                               np.array(s["hi"]), dims)),
     "affine": ({"matrix": (_matrix, _REQUIRED),
                 "offset": (_float_list, _OMITTED),
-                "regularity": (_one_of("nonexpansive", "quasinonexpansive",
-                                       "averaged"), "nonexpansive"),
+                "regularity": (_str, "nonexpansive"),
                 "alpha": (_schedule_node, _OMITTED),
                 "fixed_points": (_list_of(_blocks_value), _OMITTED)},
                _affine),
@@ -488,21 +459,18 @@ _COUPLINGS = _Table("coupling", "type", {
 
 
 def _linear_forward(spec: Mapping, dims: BlockDims) -> CocoerciveOperator:
-    M = np.array(spec["matrix"])
-    if not np.allclose(M, M.T, atol=1e-12):
-        raise ConfigError("forward.matrix must be symmetric so its "
-                          "cocoercivity constant is 1/||matrix||")
-    offset = np.array(spec.get("offset", np.zeros(dims.total)))
-    if M.shape != (dims.total, dims.total):
+    """``x -> M x + offset``, the gradient of a convex ``Quadratic``."""
+    # Quadratic checks that M is symmetric PSD: the map is 1/||M||-cocoercive
+    M = spec["matrix"]
+    f = Quadratic(np.array(M), np.array(spec.get("offset", [0.0] * len(M))))
+    if f.dim != dims.total:
         raise ConfigError("forward.matrix must act on the full space")
-    if np.linalg.eigvalsh(M).min() < -1e-10:
-        raise ConfigError("forward.matrix must be positive semidefinite")
-    norm = spectral_norm_psd(M)
+    norm = spectral_norm_psd(f.Q)
     if norm <= 0:
         raise ConfigError("forward.matrix must be nonzero; use forward type "
                           "none instead")
     return CocoerciveOperator(
-        dims, lambda v: BlockVector._own(dims, M @ v.flat + offset),
+        dims, lambda v: BlockVector._own(dims, f.Q @ v.flat + f.b),
         1.0 / norm)
 
 
@@ -623,10 +591,15 @@ class _RunPlan:
     config: SolverConfig | None = None
 
 
-def _initial(rc: RunConfig, key: str, dims: BlockDims) -> BlockVector:
-    if key in rc.initial:
+def _initial(rc: RunConfig, key: str, dims: BlockDims,
+             zero: bool = True) -> BlockVector | None:
+    """The config's start ``key`` on ``dims``; if absent, zero or None."""
+    if key not in rc.initial:
+        return construct(dims) if zero else None
+    try:
         return construct(dims, rc.initial[key])
-    return construct(dims)
+    except ShapeError as exc:  # construct's check, named by the key
+        raise ConfigError(f"initial.{key}: {exc}") from exc
 
 
 def _plan_km(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
@@ -682,8 +655,8 @@ def _plan_pd_dr(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
         [_build(_MONOTONES, f) for f in prob["functions"]],
         [_build(_MONOTONES, g) for g in prob["duals"]], grid)
     x0, z0 = _initial(rc, "x0", dims), _initial(rc, "z0", dims)
-    y0, w0 = (construct(problem.g_dims, rc.initial[key])
-              if key in rc.initial else None for key in ("y0", "w0"))
+    y0, w0 = (_initial(rc, key, problem.g_dims, zero=False)
+              for key in ("y0", "w0"))
     return _RunPlan(
         problem.k_dims.m, problem, dims,
         lambda scfg: run_pd_dr(problem, gamma, scfg, x0, z0, y0, w0)[0],
@@ -716,7 +689,7 @@ def _plan_fb_min(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
     return _fb_plan(problem, problem.forward(), problem.objective, rc, dims)
 
 
-_DIMS = {"dims": (_dims, _REQUIRED)}
+_DIMS = {"dims": (_int_list, _REQUIRED)}
 _OPERATOR = (_spec_of(_OPERATORS), _REQUIRED)
 
 _PROBLEMS = _Table("problem", "kind", {
@@ -792,10 +765,9 @@ def parse_config(text: str) -> RunConfig:
     if doc.get("initial") is not None:
         init = _mapping(doc["initial"], "initial")
         _allow_keys(init, _INITIAL_KEYS[problem["kind"]], "initial")
-        # y0 and w0 live on the image blocks: the row counts of grid row k
-        gdims = [len(row[0]) for row in problem.get("grid", ())]
-        initial = {key: _blocks_value(value, f"initial.{key}",
-                                      gdims if key in ("y0", "w0") else dims)
+        # each start is checked against its blocks by the plan: y0 and w0
+        # live on the image blocks, known once the grid is checked
+        initial = {key: _rows(value, f"initial.{key}")
                    for key, value in init.items()}
     reference = None
     if doc.get("reference") is not None:
@@ -966,7 +938,9 @@ def execute_run(
             "per_seed": per_seed,
         }
         if residuals:
-            report["max_final_residual"] = max(residuals)
+            # null when some seed has no finite residual, as for an inf one
+            report["max_final_residual"] = (
+                None if None in residuals else max(residuals))
         with open(os.path.join(directory, "report.json"), "w") as fh:
             json.dump(_finite_or_null(report), fh, indent=2, sort_keys=True,
                       allow_nan=False)
@@ -986,11 +960,6 @@ def execute_run(
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-
-def _read_config(path: str) -> RunConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1017,7 +986,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        rc = _read_config(args.config)
+        with open(args.config) as fh:
+            rc = parse_config(fh.read())
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1

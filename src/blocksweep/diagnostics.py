@@ -24,6 +24,7 @@ from .blockspace import (
     BlockVector,
     WeightedNormSpec,
     _check_same_dims,
+    _finite,
     combine,
     construct,
     distance,
@@ -32,7 +33,6 @@ from .blockspace import (
 from .errors import (
     CapabilityError,
     CapacityError,
-    NonFiniteError,
     OracleFailureError,
     ParameterError,
     ShapeError,
@@ -173,8 +173,8 @@ def _expected_weighted_sq(
     inactive = 1.0 * x.flat + -1.0 * ref.flat
     active = 1.0 * cand + -1.0 * ref.flat
     # a non-finite candidate leaves ``active`` non-finite too
-    if not (np.isfinite(inactive).all() and np.isfinite(active).all()):
-        raise NonFiniteError("block entries must be finite")
+    _finite(inactive)
+    _finite(active)
     off = x.dims.offsets
     norms = None
     for i, w in enumerate(weights.weights):
@@ -419,11 +419,10 @@ def _full_fb_reference(
     B,
     dims: BlockDims,
     gamma: float,
-    x0: BlockVector | None,
     max_iterations: int,
     tol: float,
 ) -> BlockVector:
-    x = x0 if x0 is not None else construct(dims)
+    x = construct(dims)
     sweep = SeparableSweep(A, "resolvent")
     for _ in range(max_iterations):
         arg = x
@@ -520,14 +519,14 @@ def oracle_reference(
                 return BlockVector._own(problem.dims, np.linalg.solve(H, rhs))
         B = problem.forward()
         A = [Subdifferential(f) for f in problem.fs]
-        return _full_fb_reference(A, B, problem.dims, B.theta, None,
+        return _full_fb_reference(A, B, problem.dims, B.theta,
                                   max_iterations, tol)
 
     if isinstance(problem, FbProblem):
         _check_oracle_scale(problem.dims)
         gamma = problem.B.theta if problem.B is not None else 1.0
         return _full_fb_reference(problem.A, problem.B, problem.dims, gamma,
-                                  None, max_iterations, tol)
+                                  max_iterations, tol)
 
     if isinstance(problem, DrProblem):
         _check_oracle_scale(problem.dims)
@@ -605,7 +604,8 @@ def monte_carlo_summary(
 
     ``run_fn(seed)`` returns the trace and an optional distance to a
     reference solution.  Success of a replica means its metric (distance
-    when available, else final residual) is at or below the threshold.
+    when available, else final residual) is at or below the threshold; a
+    diverged replica is never a success.
     Replica failures are recorded per seed and do not abort the summary,
     and the aggregation does not depend on the seed order.
     """
@@ -632,7 +632,7 @@ def monte_carlo_summary(
         metric = "distance" if distances else "residual"
     successes = 0
     for o in outcomes:
-        if o.error is not None:
+        if o.error is not None or o.termination == "diverged":
             continue
         value = (o.distance_to_reference if metric == "distance"
                  else o.residual)

@@ -15,7 +15,14 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .blockspace import BlockDims, BlockVector, _finite, _norm
+from .blockspace import (
+    BlockDims,
+    BlockVector,
+    _check_terms,
+    _finite,
+    _norm,
+    _vec,
+)
 from .errors import (
     CapabilityError,
     NumericError,
@@ -62,16 +69,10 @@ __all__ = [
 ]
 
 
-def _vec(x, dim: int, what: str = "input") -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if arr.shape != (dim,):
-        raise ShapeError(f"{what} has shape {arr.shape}, expected ({dim},)")
-    return arr
-
-
 def _check_gamma(gamma: float) -> float:
+    """``gamma`` as a float, checked > 0 (so a NaN is rejected too)."""
     gamma = float(gamma)
-    if gamma <= 0:
+    if not gamma > 0:
         raise ParameterError(f"gamma must be > 0, got {gamma}")
     return gamma
 
@@ -420,7 +421,7 @@ class _Group:
 
     def __init__(self, kind, members, offsets):
         self.kind = kind
-        self.blocks = ids = [i for i, _ in members]
+        ids = [i for i, _ in members]
         self.ids = _as_slice(np.array(ids))
         fns = [f for _, f in members]
         sizes = [f.dim for f in fns]
@@ -431,6 +432,14 @@ class _Group:
                                         dtype=np.float64), sizes)
         if kind is SquaredDistance:
             self.center = np.concatenate([f.center for f in fns])
+            # a value of dim 1 is one rounded square, so those blocks share
+            # one expression; a longer one is a BLAS dot product, per block
+            ones = [(i, f) for i, f in members if f.dim == 1]
+            self.one_ids = np.array([i for i, _ in ones], dtype=np.intp)
+            self.one_at = np.array(offsets, dtype=np.intp)[self.one_ids]
+            self.one_half_w = np.array([0.5 * f.weight for _, f in ones])
+            self.one_center = np.array([f.center[0] for _, f in ones])
+            self.longer = [(i, f) for i, f in members if f.dim > 1]
         if kind is BoxIndicator:
             self.lo = np.concatenate([f.lo for f in fns])
             self.hi = np.concatenate([f.hi for f in fns])
@@ -455,7 +464,6 @@ class _Group:
                  np.array([f.weight for _, f in same], dtype=np.float64))
                 for d, same in by_dim.items()
             ]
-        self.fns = fns
 
     def prox(self, xs: np.ndarray, gamma: float) -> np.ndarray:
         """The map at the group's entries ``xs`` (``zero`` returns ``xs``)."""
@@ -489,9 +497,10 @@ class _Group:
                 np.logical_and.reduceat(inside, self.starts), 0.0, math.inf)
         elif kind is Zero:
             out[self.ids] = 0.0
-        else:
-            # sq_l2 values are BLAS dot products: keep the per-block call
-            for i, f in zip(self.blocks, self.fns):
+        else:  # sq_l2
+            d = flat[self.one_at] - self.one_center
+            out[self.one_ids] = self.one_half_w * (d * d)
+            for i, f in self.longer:
                 out[i] = f.value(flat[offsets[i]:offsets[i + 1]])
 
 
@@ -558,11 +567,7 @@ class SeparableSweep:
                 out[group.idx] = group.prox(flat[group.idx], g)
         for i, term in self._loose:
             image = getattr(term, self.method)(flat[off[i]:off[i + 1]], gamma)
-            arr = np.atleast_1d(np.asarray(image, dtype=np.float64))
-            if arr.shape != (self.dims.dims[i],):
-                raise ShapeError(f"block {i} has shape {arr.shape}, expected "
-                                 f"({self.dims.dims[i]},)")
-            out[off[i]:off[i + 1]] = arr
+            out[off[i]:off[i + 1]] = _vec(image, self.dims.dims[i], "block", i)
         return out
 
     def _values_flat(self, flat: np.ndarray) -> np.ndarray:
@@ -742,41 +747,26 @@ class SmoothTerm:
 class _SmoothRows:
     """The smooth terms of a coupling grid, grouped once.
 
-    Rows made by ``SmoothTerm.squared_distance`` are gathered like the
-    blocks of a ``_Group``: their gradients are one elementwise expression
-    over the stacked image ``Lx`` with the weights and centers stacked
-    entry by entry, equal to the per-row calls.  Their values join one
-    expression only for rows of dim 1, where the per-row dot product is a
-    single rounded square; a longer dot product is left to BLAS, whose
-    summation order is its own.  Every other row keeps its per-row call,
-    and values are returned in row order.
+    Rows made by ``SmoothTerm.squared_distance`` are one ``_Group`` of
+    their ``sq_l2`` functions: their gradients are one elementwise
+    expression over the stacked image ``Lx`` with the weights and centers
+    stacked entry by entry, equal to the per-row calls, and their values
+    are the group's.  Every other row keeps its per-row call, and values
+    are returned in row order.
     """
 
     def __init__(self, L: LinearBlockOperator, grads: Sequence[SmoothTerm]):
         grads = tuple(grads)
-        tdims = L.target_dims.dims
-        if len(grads) != L.p:
-            raise ShapeError(f"need {L.p} smooth terms, got {len(grads)}")
-        for k, g in enumerate(grads):
-            if g.dim != tdims[k]:
-                raise ShapeError(f"smooth term {k} has dim {g.dim}, expected "
-                                 f"{tdims[k]}")
+        _check_terms(tuple(g.dim for g in grads), L.target_dims,
+                     "smooth term")
         self.L, self.grads = L, grads
         off = self.off = L.target_dims.offsets
-        sq = {k: g._sq_l2 for k, g in enumerate(grads) if hasattr(g, "_sq_l2")}
-        self.loose = [k for k in range(L.p) if k not in sq]
+        sq = [(k, g._sq_l2) for k, g in enumerate(grads)
+              if hasattr(g, "_sq_l2")]
+        self.group = _Group(SquaredDistance, sq, off) if sq else None
+        self.loose = [k for k, g in enumerate(grads)
+                      if not hasattr(g, "_sq_l2")]
         self.has_values = all(g.value is not None for g in grads)
-        self.idx = _as_slice(np.array(
-            [j for k in sq for j in range(off[k], off[k + 1])], dtype=np.intp))
-        self.w = np.array([f.weight for f in sq.values() for _ in range(f.dim)])
-        self.center = np.array([c for f in sq.values() for c in f.center])
-        # the value rows of dim 1: entry, 0.5 * weight and center per row
-        ones = [k for k, f in sq.items() if f.dim == 1]
-        self.value_rows = ones
-        self.value_at = np.array([off[k] for k in ones], dtype=np.intp)
-        self.value_half_w = np.array([0.5 * sq[k].weight for k in ones])
-        self.value_center = np.array([sq[k].center[0] for k in ones])
-        self.value_loose = [k for k in range(L.p) if k not in ones]
 
     def apply(self, x: BlockVector) -> BlockVector:
         """The chain-rule gradient at ``x``."""
@@ -789,28 +779,24 @@ class _SmoothRows:
         L = self.L.stacked
         y = L @ x
         g = np.empty_like(y)
-        g[self.idx] = self.w * (y[self.idx] - self.center)
-        off = self.off
+        group, off = self.group, self.off
+        if group is not None:
+            g[group.idx] = group.w * (y[group.idx] - group.center)
         for k in self.loose:
             sl = slice(off[k], off[k + 1])
-            arr = np.atleast_1d(np.asarray(self.grads[k].gradient(y[sl]),
-                                           dtype=np.float64))
-            if arr.shape != (off[k + 1] - off[k],):
-                raise ShapeError(f"block {k} has shape {arr.shape}, expected "
-                                 f"({off[k + 1] - off[k]},)")
-            g[sl] = arr
+            g[sl] = _vec(self.grads[k].gradient(y[sl]), off[k + 1] - off[k],
+                         "block", k)
         return L.T @ g
 
     def values(self, y: np.ndarray) -> list:
         """Every row's value at the flat image ``y``, in row order."""
-        out = [None] * len(self.grads)
-        d = y[self.value_at] - self.value_center
-        for k, v in zip(self.value_rows, (self.value_half_w * (d * d)).tolist()):
-            out[k] = v
+        out = np.empty(len(self.grads))
         off = self.off
-        for k in self.value_loose:
+        if self.group is not None:
+            self.group.values(y, out, off)
+        for k in self.loose:
             out[k] = self.grads[k].value(y[off[k]:off[k + 1]])
-        return out
+        return out.tolist()
 
 
 def forward_coupling_eval(
@@ -834,19 +820,23 @@ def cocoercivity_bound(L: LinearBlockOperator, taus: Sequence[float]) -> float:
     """
     if len(taus) != L.p:
         raise ShapeError(f"need {L.p} Lipschitz constants, got {len(taus)}")
+    if any(tau <= 0 for tau in taus):
+        raise ParameterError("Lipschitz constants must be > 0")
     total = 0.0
-    for k, tau in enumerate(taus):
-        if tau <= 0:
-            raise ParameterError("Lipschitz constants must be > 0")
-        gram = L.row_gram(k)
-        norm = spectral_norm_psd(gram)
-        if norm <= 0.0:
-            raise ParameterError(
-                f"target row {k} of the coupling grid is zero; every row "
-                "must have a nonzero operator"
-            )
-        total += tau * norm
+    for tau, gram in zip(taus, _row_grams(L)):
+        total += tau * spectral_norm_psd(gram)
     return 1.0 / total
+
+
+def _row_grams(L: LinearBlockOperator) -> list[np.ndarray]:
+    """``sum_i L_ki L_ki'`` for each image row ``k``, checked nonzero."""
+    grams = [L.row_gram(k) for k in range(L.p)]
+    for k, gram in enumerate(grams):
+        if float(np.trace(gram)) <= 0.0:  # PSD: zero exactly when its trace is
+            raise ParameterError(
+                f"image row {k} of the coupling grid is zero; every row "
+                "must carry a nonzero operator")
+    return grams
 
 
 @dataclass(frozen=True)

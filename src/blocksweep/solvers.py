@@ -64,6 +64,7 @@ import numpy as np
 from .blockspace import (
     BlockDims,
     BlockVector,
+    _check_terms,
     _finite,
     _masked_flat,
     _norm,
@@ -83,9 +84,11 @@ from .operators import (
     SmoothTerm,
     Subdifferential,
     _SmoothRows,
+    _check_gamma,
     _coupling_operator,
     _data,
     _graph_projection_flat,
+    _row_grams,
     _sweep_map,
     _sweep_values,
     as_schedule,
@@ -158,8 +161,7 @@ class SolverConfig:
         for slot in self.errors:
             if slot not in _SLOT_STREAMS:
                 raise ParameterError(f"unknown error slot {slot!r}")
-        if self.gamma <= 0:
-            raise ParameterError("gamma must be > 0")
+        _check_gamma(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,9 @@ class IterateTrace:
         return sum(1 for r in self.records if r.mask is not None)
 
     @property
-    def final_residual(self) -> float:
-        return self.records[-1].residual if self.records else 0.0
+    def final_residual(self) -> float | None:
+        """The last record's residual, None without records (no finite one)."""
+        return self.records[-1].residual if self.records else None
 
     def snapshots(self) -> list[BlockVector]:
         """Stored iterates in order, ending with the final iterate."""
@@ -386,19 +389,6 @@ else:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ParameterError(message)
-
-
-def _check_terms(term_dims: tuple[int, ...], dims: BlockDims, noun: str,
-                 plural: str | None = None) -> None:
-    """One term per block of ``dims``; ``term_dims`` are the terms' dims."""
-    if term_dims == dims.dims:
-        return
-    if len(term_dims) != dims.m:
-        raise ShapeError(f"need {dims.m} {plural or noun + 's'}, got "
-                         f"{len(term_dims)}")
-    i = next(i for i, d in enumerate(dims.dims) if term_dims[i] != d)
-    raise ShapeError(f"{noun} {i} has dim {term_dims[i]}, expected "
-                     f"{dims.dims[i]}")
 
 
 def _check_slots(cfg: SolverConfig, allowed: tuple[str, ...],
@@ -773,7 +763,7 @@ def _spot_check_resolvent(
 
 def _check_splitting(gamma: float, cfg: SolverConfig) -> None:
     """The bounds shared by ``run_dr`` and ``run_pd_dr``."""
-    _require(gamma > 0, "gamma must be > 0")
+    _check_gamma(gamma)
     lo, hi = cfg.dr_relaxation.bounds()
     _require(lo > 0 and hi < 2,
              f"mu_n must lie in ]0, 2[ with inf mu_n > 0 and sup mu_n < 2, "
@@ -868,12 +858,7 @@ def assemble_pd_problem(
     g_ops = tuple(wrap(t) for t in dual_terms)
     _check_terms(tuple(op.dim for op in h_ops), L.source_dims, "primal term")
     _check_terms(tuple(op.dim for op in g_ops), L.target_dims, "dual term")
-    for k in range(L.p):
-        if float(np.trace(L.row_gram(k))) <= 0.0:
-            raise ParameterError(
-                f"image row {k} of the coupling grid is zero; every row "
-                "must satisfy min_k sum_i ||L_ki||^2 > 0"
-            )
+    _row_grams(L)
     return PdDrProblem(h_ops, g_ops, L, GraphSubspace(L))
 
 
@@ -1042,12 +1027,6 @@ def run_fb_min(
     if not isinstance(L, LinearBlockOperator):
         L = LinearBlockOperator(L)
     problem = CoupledMinProblem(tuple(fs), tuple(smooth), L)
-    _check_fb_min(problem, x0)
     return run_fb(problem.resolvents, problem.forward(), cfg, x0,
                   problem.objective, check_cocoercivity=False)
 
-
-def _check_fb_min(problem: CoupledMinProblem, x0: BlockVector) -> None:
-    """The precondition ``run_fb_min`` adds to those of ``run_fb``."""
-    if x0.dims != problem.dims:
-        raise ShapeError("starting point does not match the coupling grid")

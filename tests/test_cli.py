@@ -708,3 +708,56 @@ def test_a_diverged_seed_counts_the_iteration_it_diverged_at(tmp_path):
     report = json.loads((tmp_path / "at_once" / "report.json").read_text())
     assert report["per_seed"]["0"]["termination"] == "diverged"
     assert report["per_seed"]["0"]["iterations"] == 0
+
+
+def test_a_seed_diverged_before_any_record_reports_no_residual(tmp_path):
+    at_once = parse_config(
+        DIVERGING_KM.replace(", max_iterations: 2000", "")
+        .replace("[[1.0], [1.0]]", "[[1.0e+308], [1.0]]")
+        .replace("seeds: [0]", "seeds: [0, 1, 2]"))
+    trace = at_once._plan.runner(at_once._plan.config)
+    assert trace.records == () and trace.final_residual is None
+    out_dir = tmp_path / "out"
+    assert execute_run(at_once, out_dir=str(out_dir)) == 2
+    report = json.loads((out_dir / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    for seed in ("0", "1", "2"):
+        entry = report["per_seed"][seed]
+        assert entry["termination"] == "diverged"
+        assert entry["final_residual"] is None
+        rows = (out_dir / f"trace_seed{seed}.csv").read_text().splitlines()
+        assert len(rows) == 1  # the header only
+    assert report["max_final_residual"] is None
+    assert report["success_fraction"] == 0.0
+
+
+PD_ORACLE = """
+problem:
+  kind: pd_dr
+  dims: [1, 1]
+  functions:
+    - {kind: l1, dim: 1, weight: 0.1}
+    - {kind: sq_l2, center: [2.0]}
+  duals:
+    - {kind: sq_l2, center: [1.0]}
+  grid: [[[[1.0]], [[1.0]]]]
+solver: {gamma: 1.0, tolerance: 1.0e-12, max_iterations: 20000}
+sweeping: {scheme: single_block}
+seeds: [0]
+"""
+
+
+def test_main_oracle_on_a_pd_dr_config(tmp_path, capsys):
+    # minimizes 0.1|x1| + (x2 - 2)^2 / 2 + (x1 + x2 - 1)^2 / 2
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(PD_ORACLE)
+    assert main(["oracle", str(cfg_path)]) == 0
+    blocks = json.loads(capsys.readouterr().out)["blocks"]
+    assert np.allclose(blocks, [[-0.8], [1.9]], rtol=0.0, atol=1e-12)
+    rc = parse_config(PD_ORACLE)
+    plan = rc._plan
+    trace, solution = bs.run_pd_dr(plan.problem, 1.0, plan.config,
+                                   bs.construct(plan.dims))
+    assert trace.termination == "tolerance"
+    assert np.allclose(solution.primal.flat, np.ravel(blocks), rtol=0.0,
+                       atol=1e-9)

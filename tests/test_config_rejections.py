@@ -1,0 +1,143 @@
+"""Configs that must be rejected when they are parsed.
+
+The config walker checks the grammar (keys, types, defaults and one entry
+per block); the values go to the constructors and driver checks the run
+plan calls, whose errors ``parse_config`` turns into a ``ConfigError``.
+Every config below breaks one value rule, and both ``parse_config`` and
+``blocksweep validate`` must reject it, whichever layer the rule lives in.
+"""
+
+import pytest
+import yaml
+
+from blocksweep.cli import main, parse_config
+from blocksweep.errors import ConfigError
+
+SMOOTH = {"kind": "sq_l2", "center": [1.0]}
+ZERO = {"kind": "zero", "dim": 1}
+GRID2 = [[[[1.0]], [[1.0]]]]  # one image row over two primal blocks
+RAGGED = [[[[1.0]], [[1.0]]], [[[1.0]]]]
+
+
+def _km(operator, dims=(1, 1), **sections):
+    doc = {"problem": {"kind": "km", "dims": list(dims),
+                       "operator": operator},
+           "solver": {"relaxation": 0.5, "max_iterations": 5},
+           "sweeping": {"scheme": "single_block"}, "seeds": [0]}
+    doc.update(sections)
+    return doc
+
+
+IDENTITY = {"type": "identity"}
+HALF = {"type": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]]}
+
+
+def _affine(**keys):
+    return _km(dict(HALF, **keys))
+
+
+def _pd_dr(grid=GRID2, **sections):
+    doc = {"problem": {"kind": "pd_dr", "dims": [1, 1],
+                       "functions": [ZERO, ZERO], "duals": [SMOOTH],
+                       "grid": grid},
+           "solver": {"max_iterations": 5},
+           "sweeping": {"scheme": "single_block"}, "seeds": [0]}
+    doc.update(sections)
+    return doc
+
+
+def _fb_min(grid=GRID2):
+    return {"problem": {"kind": "fb_min", "dims": [1, 1],
+                        "functions": [ZERO, ZERO], "smooth": [SMOOTH],
+                        "grid": grid},
+            "solver": {"relaxation": 0.5, "stepsize": 0.5,
+                       "max_iterations": 5},
+            "sweeping": {"scheme": "single_block"}, "seeds": [0]}
+
+
+def _fb(stepsize):
+    return {"problem": {"kind": "fb", "dims": [1], "blocks": [ZERO],
+                        "forward": {"type": "linear", "matrix": [[1.0]]}},
+            "solver": {"relaxation": 0.5, "stepsize": stepsize,
+                       "max_iterations": 5},
+            "sweeping": {"scheme": "single_block"}, "seeds": [0]}
+
+
+NO_RAMP = {"start": 0.5, "end": 0.25}
+RAMP_0 = {"start": 0.5, "end": 0.25, "ramp": 0}
+LONG = [[1.0, 2.0], [3.0]]  # block 0 one entry too long
+SHORT = [[1.0]]  # one block short
+
+REJECTED = {
+    "dims_zero": _km(IDENTITY, dims=[0]),
+    "dims_empty": _km(IDENTITY, dims=[]),
+    "relaxation_end_without_ramp": _km(IDENTITY, solver={
+        "relaxation": NO_RAMP}),
+    "relaxation_ramp_0": _km(IDENTITY, solver={"relaxation": RAMP_0}),
+    "dr_relaxation_ramp_0": _pd_dr(solver={"dr_relaxation": RAMP_0}),
+    "stepsize_end_without_ramp": _fb(NO_RAMP),
+    "stepsize_ramp_0": _fb(RAMP_0),
+    "alpha_end_without_ramp": _affine(regularity="averaged", alpha=NO_RAMP),
+    "alpha_ramp_0": _affine(regularity="averaged", alpha=RAMP_0),
+    "regularity_bogus": _affine(regularity="bogus"),
+    "pd_dr_grid_empty": _pd_dr(grid=[]),
+    "pd_dr_grid_empty_row": _pd_dr(grid=[[]]),
+    "pd_dr_grid_ragged": _pd_dr(grid=RAGGED),
+    "pd_dr_grid_empty_row_with_y0": _pd_dr(grid=[[]],
+                                           initial={"y0": [[1.0]]}),
+    "fb_min_grid_empty": _fb_min(grid=[]),
+    "fb_min_grid_empty_row": _fb_min(grid=[[]]),
+    "fb_min_grid_ragged": _fb_min(grid=RAGGED),
+    "box_lo_short": _km({"type": "box_projection", "lo": [0.0],
+                         "hi": [1.0, 1.0]}),
+    "box_hi_long": _km({"type": "box_projection", "lo": [0.0, 0.0],
+                        "hi": [1.0, 1.0, 1.0]}),
+    "x0_block_length": _km(IDENTITY, initial={"x0": LONG}),
+    "x0_block_count": _km(IDENTITY, initial={"x0": SHORT}),
+    "y0_block_length": _pd_dr(initial={"y0": [[1.0, 2.0]]}),
+    "y0_block_count": _pd_dr(initial={"y0": [[1.0], [2.0]]}),
+    "w0_block_length": _pd_dr(initial={"w0": [[1.0, 2.0]]}),
+    "w0_block_count": _pd_dr(initial={"w0": [[1.0], [2.0]]}),
+    "reference_block_length": _km(IDENTITY, reference=LONG),
+    "reference_block_count": _km(IDENTITY, reference=SHORT),
+    "fixed_points_block_length": _affine(fixed_points=[LONG]),
+    "fixed_points_block_count": _affine(fixed_points=[SHORT]),
+    "constant_value_block_length": _km({"type": "constant", "value": LONG}),
+    "constant_value_block_count": _km({"type": "constant", "value": SHORT}),
+}
+
+
+def test_the_hosts_parse_when_the_broken_value_is_mended():
+    for doc in (_km(IDENTITY), _affine(regularity="averaged", alpha=0.5),
+                _pd_dr(initial={"y0": [[1.0]], "w0": [[1.0]]}),
+                _fb_min(), _fb(0.5),
+                _km({"type": "box_projection", "lo": [0.0, 0.0],
+                     "hi": [1.0, 1.0]}),
+                _km({"type": "constant", "value": [[1.0], [2.0]]},
+                    initial={"x0": [[1.0], [2.0]]},
+                    reference=[[1.0], [2.0]]),
+                _affine(fixed_points=[[[0.0], [0.0]]])):
+        parse_config(yaml.safe_dump(doc))
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_a_broken_value_is_a_config_error(name):
+    with pytest.raises(ConfigError):
+        parse_config(yaml.safe_dump(REJECTED[name]))
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_validate_exits_1_on_a_broken_value(tmp_path, capsys, name):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(REJECTED[name]))
+    assert main(["validate", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("invalid config: ")
+
+
+@pytest.mark.parametrize("key", ["x0", "z0", "y0", "w0"])
+def test_a_wrong_start_names_its_key(key):
+    doc = _pd_dr(initial={key: [[1.0, 2.0]] if key in ("y0", "w0")
+                          else LONG})
+    with pytest.raises(ConfigError, match=rf"^initial.{key}: block 0 has "
+                                          r"shape \(2,\), expected \(1,\)$"):
+        parse_config(yaml.safe_dump(doc))

@@ -520,3 +520,27 @@ def test_monte_carlo_summary_records_replica_errors():
     failed = [o for o in report.outcomes if o.error is not None]
     assert len(failed) == 1 and failed[0].seed == 1
     assert report.success_fraction == pytest.approx(2 / 3)
+
+
+def _diverged_at_once(seed):
+    # 3*I maps the first block past the largest float: no record is made
+    d = bs.BlockDims([1, 1])
+    T = bs.affine_family(d, 3.0 * np.eye(2))
+    trace = bs.run_single_layer(T, cfg_for(2, relaxation=Schedule(0.5),
+                                           seed=seed),
+                                bs.construct(d, [[1.0e308], [1.0]]))
+    assert trace.termination == "diverged" and trace.records == ()
+    return trace
+
+
+def test_a_replica_diverged_before_any_record_is_never_a_success():
+    by_residual = bs.monte_carlo_summary(
+        lambda s: (_diverged_at_once(s), None), [0, 1, 2], threshold=1e-6)
+    assert by_residual.success_fraction == 0.0
+    assert all(o.residual is None for o in by_residual.outcomes)
+    assert by_residual.residual_quantiles == {}
+    # nor when the caller's distance to the reference is small
+    by_distance = bs.monte_carlo_summary(
+        lambda s: (_diverged_at_once(s), 0.0), [0, 1, 2], threshold=1e-6)
+    assert by_distance.metric == "distance"
+    assert by_distance.success_fraction == 0.0
