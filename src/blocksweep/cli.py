@@ -34,7 +34,7 @@ full grammar:
       relaxation: 0.5 | {start: 0.9, end: 0.5, ramp: 100}
       dr_relaxation: 1.0
       stepsize: 1.0
-      gamma: 1.0
+      gamma: 1.0              # dr and pd_dr only: the resolvent parameter
       max_iterations: 100000
       tolerance: 1.0e-8
       snapshot_stride: 10
@@ -47,7 +47,7 @@ full grammar:
       a: {kind: gaussian_decay, scale: 0.1, decay: 0.9}
       # slots: a, b, c, d (driver dependent); omitted slots are error-free
     seeds: [0, 1, 2]
-    initial: {x0: [[...], ...], z0: ..., y0: ..., w0: ...}  # z0, w0 inert
+    initial: {x0: [[...], ...], y0: ...}  # y0: pd_dr only, image blocks
     reference: [[...], ...]   # optional known solution (primal blocks)
     output: {directory: out}
 
@@ -566,8 +566,8 @@ _INITIAL_KEYS = {
     "km": ("x0",),
     "averaged": ("x0",),
     "double_layer": ("x0",),
-    "dr": ("x0", "z0"),
-    "pd_dr": ("x0", "z0", "y0", "w0"),
+    "dr": ("x0",),
+    "pd_dr": ("x0", "y0"),
     "fb": ("x0",),
     "fb_min": ("x0",),
 }
@@ -639,12 +639,12 @@ def _plan_dr(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
     A = tuple(_build(_MONOTONES, b) for b in prob["blocks"])
     jb, b_forward = _build(_COUPLINGS, prob["coupling"], dims, gamma)
     problem = DrProblem(A, jb, gamma, dims, b_forward)
-    x0, z0 = _initial(rc, "x0", dims), _initial(rc, "z0", dims)
+    x0 = _initial(rc, "x0", dims)
     return _RunPlan(
         dims.m, problem, dims,
-        lambda scfg: run_dr(problem.resolvents, jb, gamma, scfg, x0, z0,
+        lambda scfg: run_dr(problem.resolvents, jb, gamma, scfg, x0,
                             check_resolvent=False)[0],
-        lambda scfg: _check_dr(problem.resolvents, gamma, scfg, x0, z0),
+        lambda scfg: _check_dr(problem.resolvents, gamma, scfg, x0),
     )
 
 
@@ -654,13 +654,12 @@ def _plan_pd_dr(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
     problem = assemble_pd_problem(
         [_build(_MONOTONES, f) for f in prob["functions"]],
         [_build(_MONOTONES, g) for g in prob["duals"]], grid)
-    x0, z0 = _initial(rc, "x0", dims), _initial(rc, "z0", dims)
-    y0, w0 = (_initial(rc, key, problem.g_dims, zero=False)
-              for key in ("y0", "w0"))
+    x0 = _initial(rc, "x0", dims)
+    y0 = _initial(rc, "y0", problem.g_dims, zero=False)
     return _RunPlan(
         problem.k_dims.m, problem, dims,
-        lambda scfg: run_pd_dr(problem, gamma, scfg, x0, z0, y0, w0)[0],
-        lambda scfg: _check_pd_dr(problem, gamma, scfg, x0, z0, y0, w0),
+        lambda scfg: run_pd_dr(problem, gamma, scfg, x0, y0=y0)[0],
+        lambda scfg: _check_pd_dr(problem, gamma, scfg, x0, y0),
     )
 
 
@@ -729,7 +728,6 @@ def _build_solver_config(rc: RunConfig, plan: _RunPlan,
         dr_relaxation=Schedule(**solver["dr_relaxation"]),
         stepsize=(Schedule(**solver["stepsize"])
                   if "stepsize" in solver else None),
-        gamma=solver["gamma"],
         max_iterations=solver["max_iterations"],
         tolerance=solver["tolerance"],
         seed=seed,
@@ -765,8 +763,8 @@ def parse_config(text: str) -> RunConfig:
     if doc.get("initial") is not None:
         init = _mapping(doc["initial"], "initial")
         _allow_keys(init, _INITIAL_KEYS[problem["kind"]], "initial")
-        # each start is checked against its blocks by the plan: y0 and w0
-        # live on the image blocks, known once the grid is checked
+        # each start is checked against its blocks by the plan: y0 lives
+        # on the image blocks, known once the grid is checked
         initial = {key: _rows(value, f"initial.{key}")
                    for key, value in init.items()}
     reference = None

@@ -583,15 +583,24 @@ class ConvergenceReport:
 
 
 def _quantiles(values: Sequence[float]) -> dict:
+    """``np.quantile``'s linear quantiles, ranked where a value is infinite.
+
+    At ``h = (len - 1) q`` numpy interpolates between the sorted values at
+    ``k = floor(h)`` and ``k + 1``, which is ``inf - inf`` or ``inf * 0``
+    when one is infinite; the quantile is then the value at ``k`` for a
+    whole ``h``, else the infinite one.
+    """
+    probs = {"min": 0.0, "q25": 0.25, "median": 0.5, "q75": 0.75, "max": 1.0}
     arr = np.asarray(sorted(values), dtype=np.float64)
-    qs = np.quantile(arr, [0.0, 0.25, 0.5, 0.75, 1.0])
-    return {
-        "min": float(qs[0]),
-        "q25": float(qs[1]),
-        "median": float(qs[2]),
-        "q75": float(qs[3]),
-        "max": float(qs[4]),
-    }
+    with np.errstate(invalid="ignore"):
+        qs = np.quantile(arr, list(probs.values())).tolist()
+    for j, q in enumerate(probs.values()):
+        h = (len(arr) - 1) * q
+        k = math.floor(h)
+        lo, hi = float(arr[k]), float(arr[min(k + 1, len(arr) - 1)])
+        if math.isinf(lo) or math.isinf(hi):
+            qs[j] = hi if h > k and math.isinf(hi) else lo
+    return dict(zip(probs, qs))
 
 
 def monte_carlo_summary(

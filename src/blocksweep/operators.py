@@ -111,7 +111,7 @@ class L1Norm(ProxFunction):
     kind: str = field(default="l1", init=False)
 
     def __post_init__(self):
-        if self.weight < 0:
+        if not self.weight >= 0:
             raise ParameterError("l1 weight must be >= 0")
 
     def value(self, x) -> float:
@@ -138,7 +138,7 @@ class SquaredDistance(ProxFunction):
 
     def __init__(self, center, weight: float = 1.0):
         center = np.atleast_1d(np.asarray(center, dtype=np.float64))
-        if weight <= 0:
+        if not weight > 0:
             raise ParameterError("sq_l2 weight must be > 0")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "weight", float(weight))
@@ -205,7 +205,7 @@ class BallIndicator(ProxFunction):
 
     def __init__(self, center, radius: float):
         center = np.atleast_1d(np.asarray(center, dtype=np.float64))
-        if radius <= 0:
+        if not radius > 0:
             raise ParameterError("ball radius must be > 0")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(radius))
@@ -720,7 +720,7 @@ class SmoothTerm:
     linear: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.lipschitz <= 0:
+        if not self.lipschitz > 0:
             raise ParameterError("Lipschitz constant must be > 0")
 
     @staticmethod
@@ -820,7 +820,7 @@ def cocoercivity_bound(L: LinearBlockOperator, taus: Sequence[float]) -> float:
     """
     if len(taus) != L.p:
         raise ShapeError(f"need {L.p} Lipschitz constants, got {len(taus)}")
-    if any(tau <= 0 for tau in taus):
+    if not all(tau > 0 for tau in taus):
         raise ParameterError("Lipschitz constants must be > 0")
     total = 0.0
     for tau, gram in zip(taus, _row_grams(L)):
@@ -854,7 +854,7 @@ class CocoerciveOperator:
     theta: float
 
     def __post_init__(self):
-        if self.theta <= 0:
+        if not self.theta > 0:
             raise ParameterError("cocoercivity constant must be > 0")
 
     def _flat(self, x: np.ndarray) -> np.ndarray:

@@ -69,7 +69,6 @@ from .blockspace import (
     _masked_flat,
     _norm,
     combine,
-    distance,
 )
 from .errors import NonFiniteError, ParameterError, ShapeError
 from .operators import (
@@ -93,6 +92,7 @@ from .operators import (
     _sweep_values,
     as_schedule,
     forward_step_family,
+    regularity_test,
     resolvent_family,
 )
 from .sweeping import ErrorModel, SweepingRule, _error_draws, _mask_draws
@@ -132,17 +132,15 @@ class SolverConfig:
 
     ``relaxation`` is the masked-update relaxation (each driver enforces its
     own admissible range), ``dr_relaxation`` the splitting relaxation in
-    ]0, 2[ and ``stepsize`` the forward stepsize sequence.  ``gamma`` is
-    inert: it is validated, but the splitting drivers take their resolvent
-    parameter as an argument.  ``errors`` maps slot names ("a", "b", "c",
-    "d") to error models; missing slots are error-free.
+    ]0, 2[ and ``stepsize`` the forward stepsize sequence.  ``errors`` maps
+    slot names ("a", "b", "c", "d") to error models; missing slots are
+    error-free.
     """
 
     sweeping: SweepingRule
     relaxation: Schedule = Schedule(0.5)
     dr_relaxation: Schedule = Schedule(1.0)
     stepsize: Schedule | None = None
-    gamma: float = 1.0
     max_iterations: int = 100_000
     tolerance: float = 1e-8
     seed: int = 0
@@ -153,7 +151,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ParameterError("max_iterations must be >= 1")
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:  # a NaN tolerance could never stop a run
             raise ParameterError("tolerance must be >= 0")
         if self.snapshot_stride < 1:
             raise ParameterError("snapshot_stride must be >= 1")
@@ -161,7 +159,6 @@ class SolverConfig:
         for slot in self.errors:
             if slot not in _SLOT_STREAMS:
                 raise ParameterError(f"unknown error slot {slot!r}")
-        _check_gamma(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -671,8 +668,7 @@ def run_double_layer(
     R: BlockOperatorFamily,
     cfg: SolverConfig,
     x0: BlockVector,
-    inner_error_sampler: Callable[[int], BlockVector] | None = None,
-    objective_fn: Callable[[BlockVector], float] | None = None,
+    *,
     stepsize_for_trace: Schedule | None = None,
 ) -> IterateTrace:
     """Two averaged layers per iteration.
@@ -681,19 +677,11 @@ def run_double_layer(
     inner layer) and then updates the active blocks toward
     ``T_n(y_n) + a_n``.  Requires ``sup alpha_n < 1`` and ``sup beta_n < 1``
     for the two averaging sequences and relaxations in ]0, 1] bounded away
-    from zero.
-
-    ``inner_error_sampler`` overrides the "b" error slot with a caller-built
-    sampler; ``stepsize_for_trace`` only fills the trace stepsize column.
+    from zero.  ``stepsize_for_trace`` only fills the trace stepsize column.
     """
     _check_double_layer(T, R, cfg, x0)
-    total = x0.dims.total
-    sampler_b = _error_sampler(cfg, "b", R.dims)
-    if inner_error_sampler is not None:
-        def sampler_b(n: int) -> np.ndarray:
-            return _data(inner_error_sampler(n), total)
-    return _double_layer(T, R, cfg, x0, sampler_b, objective_fn,
-                         stepsize_for_trace)
+    return _double_layer(T, R, cfg, x0, _error_sampler(cfg, "b", R.dims),
+                         None, stepsize_for_trace)
 
 
 def _double_layer(
@@ -742,23 +730,18 @@ def _check_double_layer(T: BlockOperatorFamily, R: BlockOperatorFamily,
 
 
 def _spot_check_resolvent(
-    jb: Callable[[BlockVector], BlockVector],
-    dims: BlockDims,
-    samples: int = 8,
-    tolerance: float = 1e-9,
+    jb: Callable[[BlockVector], BlockVector], dims: BlockDims
 ) -> None:
     """Sampled nonexpansiveness check of a user-supplied coupled resolvent."""
-    rng = np.random.default_rng(0x4A42)
-    for _ in range(samples):
-        x = BlockVector(dims, rng.standard_normal(dims.total))
-        y = BlockVector(dims, rng.standard_normal(dims.total))
-        slack = distance(jb(x), jb(y)) ** 2 - distance(x, y) ** 2
-        if slack > tolerance:
-            raise ParameterError(
-                "the supplied coupled resolvent is not nonexpansive "
-                f"(sampled slack {slack:.3e}); it cannot be the resolvent of "
-                "a monotone operator"
-            )
+    report = regularity_test(
+        BlockOperatorFamily(dims, lambda n, x: jb(x), "nonexpansive"),
+        "nonexpansive", sample_count=8, rng_seed=0x4A42)
+    if report.violations:
+        raise ParameterError(
+            "the supplied coupled resolvent is not nonexpansive "
+            f"(sampled slack {report.worst_slack:.3e}); it cannot be the "
+            "resolvent of a monotone operator"
+        )
 
 
 def _check_splitting(gamma: float, cfg: SolverConfig) -> None:
@@ -776,7 +759,7 @@ def run_dr(
     gamma: float,
     cfg: SolverConfig,
     x0: BlockVector,
-    z0: BlockVector | None = None,
+    *,
     check_resolvent: bool = True,
 ) -> tuple[IterateTrace, PrimalDualSolution | None]:
     """Masked splitting iteration for ``0 in A_i x_i + B_i(x)``.
@@ -785,9 +768,7 @@ def run_dr(
     coupled resolvent, ``z_i <- Q_i(x) + b_i``, and then relaxes
     ``x_i <- x_i + mu_n (J_{gamma A_i}(2 z_i - x_i) + a_i - z_i)``, reading
     the already refreshed ``z_i``.  The coupled resolvent is always evaluated
-    on the full vector and sliced.  Since only refreshed blocks of ``z`` are
-    ever read, ``z0`` is checked against the iterate but does not change
-    the run.
+    on the full vector and sliced.
 
     Returns the trace of the governing sequence together with the primal
     point ``z = JB(x_final)`` and the dual point ``(x_final - z) / gamma``;
@@ -798,7 +779,7 @@ def run_dr(
     dims = x0.dims
     if not isinstance(A, SeparableSweep):
         A = SeparableSweep(A, "resolvent")
-    _check_dr(A, gamma, cfg, x0, z0)
+    _check_dr(A, gamma, cfg, x0)
     if check_resolvent:
         _spot_check_resolvent(JB, dims)
     trace = _splitting(
@@ -817,15 +798,13 @@ def run_dr(
 
 
 def _check_dr(A: SeparableSweep, gamma: float, cfg: SolverConfig,
-              x0: BlockVector, z0: BlockVector | None) -> None:
+              x0: BlockVector) -> None:
     """The preconditions of ``run_dr``, also checked at parse."""
     dims = x0.dims
     _check_terms(A.dims.dims, dims, "operator", "blockwise operators")
     _check_rule(cfg.sweeping, dims.m, "splitting driver")
     _check_slots(cfg, ("a", "b"), "splitting driver")
     _check_splitting(gamma, cfg)
-    if z0 is not None and z0.dims != dims:
-        raise ShapeError("shadow state dims do not match the iterate")
 
 
 # ---------------------------------------------------------------------------
@@ -867,9 +846,8 @@ def run_pd_dr(
     gamma: float,
     cfg: SolverConfig,
     x0: BlockVector,
-    z0: BlockVector | None = None,
+    *,
     y0: BlockVector | None = None,
-    w0: BlockVector | None = None,
 ) -> tuple[IterateTrace, PrimalDualSolution | None]:
     """Primal-dual splitting with masks over all ``m + p`` blocks.
 
@@ -878,12 +856,11 @@ def run_pd_dr(
     resolvent is the graph projector.  The shadow states track the projector
     refresh of the governing state, so the reported primal point is the
     primal part of the final refresh and the reported dual point is
-    ``(w - y_final) / gamma`` with ``w`` its image part.  As in ``run_dr``,
-    ``z0`` and ``w0`` are checked but do not change the run, and the
-    solution is None when the run diverged and that refresh is not finite.
+    ``(w - y_final) / gamma`` with ``w`` its image part.  The solution is
+    None when the run diverged and that refresh is not finite.
     """
     h, g, k = problem.h_dims, problem.g_dims, problem.k_dims
-    _check_pd_dr(problem, gamma, cfg, x0, z0, y0, w0)
+    _check_pd_dr(problem, gamma, cfg, x0, y0)
     y0 = y0 if y0 is not None else problem.L.apply(x0)
     split = h.total
     trace = _splitting(
@@ -905,16 +882,13 @@ def run_pd_dr(
 
 
 def _check_pd_dr(problem: PdDrProblem, gamma: float, cfg: SolverConfig,
-                 x0: BlockVector, z0: BlockVector | None,
-                 y0: BlockVector | None, w0: BlockVector | None) -> None:
+                 x0: BlockVector, y0: BlockVector | None) -> None:
     """The preconditions of ``run_pd_dr``, also checked at parse."""
     h, g = problem.h_dims, problem.g_dims
     if x0.dims != h:
         raise ShapeError("x0 must live on the primal blocks")
     if y0 is not None and y0.dims != g:
         raise ShapeError("y0 must live on the image blocks")
-    if (z0 is not None and z0.dims != h) or (w0 is not None and w0.dims != g):
-        raise ShapeError("shadow states must match the primal/image blocks")
     _check_rule(cfg.sweeping, problem.k_dims.m, "primal-dual driver")
     _check_slots(cfg, ("a", "b", "c", "d"), "primal-dual driver")
     _check_splitting(gamma, cfg)

@@ -76,15 +76,16 @@ class SweepingRule:
             w = self.weights
             if w is None or len(w) != self.m:
                 raise InvalidRuleError("single_block needs one weight per block")
-            if any(wi <= 0 for wi in w):
-                raise InvalidRuleError(
-                    "single_block weights must be > 0 so that every marginal "
-                    "activation probability is > 0"
-                )
             # normalised once: every mask draw and the mask law read it;
-            # the CDF is the one Generator.choice(m, p=p) builds per call
+            # the CDF is the one Generator.choice(m, p=p) builds per call.
+            # An inf weight or sum leaves some p_i nan or 0, so p is checked.
             w = np.asarray(w)
-            p = w / w.sum()
+            with np.errstate(all="ignore"):
+                p = w / w.sum()
+            if not ((w > 0).all() and (p > 0).all()):
+                raise InvalidRuleError(
+                    "single_block weights and their sum must be finite and "
+                    "> 0 so that every marginal activation probability is > 0")
             cdf = p.cumsum()
             cdf /= cdf[-1]
             p.setflags(write=False)
@@ -401,8 +402,8 @@ class ErrorModel:
         if self.kind not in ("none", "deterministic_decay", "gaussian_decay"):
             raise InvalidRuleError(f"unknown error model kind {self.kind!r}")
         if self.kind != "none":
-            if self.scale < 0:
-                raise InvalidRuleError("error scale must be >= 0")
+            if not 0.0 <= self.scale < math.inf:
+                raise InvalidRuleError("error scale must be finite and >= 0")
             if not (0.0 <= self.decay < 1.0):
                 raise InvalidRuleError(
                     "error decay must lie in [0, 1); otherwise the root mean "

@@ -7,11 +7,14 @@ Every config below breaks one value rule, and both ``parse_config`` and
 ``blocksweep validate`` must reject it, whichever layer the rule lives in.
 """
 
+import math
+
 import pytest
 import yaml
 
+import blocksweep as bs
 from blocksweep.cli import main, parse_config
-from blocksweep.errors import ConfigError
+from blocksweep.errors import BlocksweepError, ConfigError
 
 SMOOTH = {"kind": "sq_l2", "center": [1.0]}
 ZERO = {"kind": "zero", "dim": 1}
@@ -40,6 +43,15 @@ def _pd_dr(grid=GRID2, **sections):
     doc = {"problem": {"kind": "pd_dr", "dims": [1, 1],
                        "functions": [ZERO, ZERO], "duals": [SMOOTH],
                        "grid": grid},
+           "solver": {"max_iterations": 5},
+           "sweeping": {"scheme": "single_block"}, "seeds": [0]}
+    doc.update(sections)
+    return doc
+
+
+def _dr(**sections):
+    doc = {"problem": {"kind": "dr", "dims": [1], "blocks": [ZERO],
+                       "coupling": {"type": "linear", "matrix": [[1.0]]}},
            "solver": {"max_iterations": 5},
            "sweeping": {"scheme": "single_block"}, "seeds": [0]}
     doc.update(sections)
@@ -96,8 +108,8 @@ REJECTED = {
     "x0_block_count": _km(IDENTITY, initial={"x0": SHORT}),
     "y0_block_length": _pd_dr(initial={"y0": [[1.0, 2.0]]}),
     "y0_block_count": _pd_dr(initial={"y0": [[1.0], [2.0]]}),
-    "w0_block_length": _pd_dr(initial={"w0": [[1.0, 2.0]]}),
-    "w0_block_count": _pd_dr(initial={"w0": [[1.0], [2.0]]}),
+    "dr_initial_z0": _dr(initial={"z0": [[1.0]]}),
+    "pd_dr_initial_w0": _pd_dr(initial={"w0": [[1.0]]}),
     "reference_block_length": _km(IDENTITY, reference=LONG),
     "reference_block_count": _km(IDENTITY, reference=SHORT),
     "fixed_points_block_length": _affine(fixed_points=[LONG]),
@@ -109,7 +121,7 @@ REJECTED = {
 
 def test_the_hosts_parse_when_the_broken_value_is_mended():
     for doc in (_km(IDENTITY), _affine(regularity="averaged", alpha=0.5),
-                _pd_dr(initial={"y0": [[1.0]], "w0": [[1.0]]}),
+                _pd_dr(initial={"y0": [[1.0]]}),
                 _fb_min(), _fb(0.5),
                 _km({"type": "box_projection", "lo": [0.0, 0.0],
                      "hi": [1.0, 1.0]}),
@@ -134,10 +146,59 @@ def test_validate_exits_1_on_a_broken_value(tmp_path, capsys, name):
     assert capsys.readouterr().err.startswith("invalid config: ")
 
 
-@pytest.mark.parametrize("key", ["x0", "z0", "y0", "w0"])
+@pytest.mark.parametrize("key", ["x0", "y0"])
 def test_a_wrong_start_names_its_key(key):
-    doc = _pd_dr(initial={key: [[1.0, 2.0]] if key in ("y0", "w0")
-                          else LONG})
+    doc = _pd_dr(initial={key: [[1.0, 2.0]] if key == "y0" else LONG})
     with pytest.raises(ConfigError, match=rf"^initial.{key}: block 0 has "
                                           r"shape \(2,\), expected \(1,\)$"):
         parse_config(yaml.safe_dump(doc))
+
+
+def _prox_km(function):
+    return _km({"type": "prox", "functions": [function]}, dims=[1])
+
+
+def _gaussian(scale):
+    return _km(IDENTITY, errors={"a": {"kind": "gaussian_decay",
+                                       "scale": scale, "decay": 0.5}})
+
+
+ONE = bs.BlockDims([1])
+NAN = math.nan
+# a check written ``x < 0`` or ``x <= 0`` lets a NaN through
+NOT_A_NUMBER = {
+    "tolerance": ("tolerance must be", lambda: parse_config(yaml.safe_dump(
+        _km(IDENTITY, solver={"relaxation": 0.5, "tolerance": NAN})))),
+    "error_scale_nan": ("error scale must be", lambda: parse_config(
+        yaml.safe_dump(_gaussian(NAN)))),
+    # an infinite scale is not summable either
+    "error_scale_inf": ("error scale must be", lambda: parse_config(
+        yaml.safe_dump(_gaussian(math.inf)))),
+    "l1_weight": ("l1 weight must be", lambda: parse_config(yaml.safe_dump(
+        _prox_km({"kind": "l1", "dim": 1, "weight": NAN})))),
+    "sq_l2_weight": ("sq_l2 weight must be", lambda: parse_config(
+        yaml.safe_dump(_prox_km({"kind": "sq_l2", "center": [1.0],
+                                 "weight": NAN})))),
+    "ball_radius": ("ball radius must be", lambda: parse_config(
+        yaml.safe_dump(_prox_km({"kind": "indicator_ball", "center": [1.0],
+                                 "radius": NAN})))),
+    "lipschitz": ("Lipschitz constant must be",
+                  lambda: bs.SmoothTerm(1, lambda y: y, NAN)),
+    "cocoercivity": ("cocoercivity constant must be",
+                     lambda: bs.CocoerciveOperator(ONE, lambda v: v, NAN)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_NUMBER))
+def test_a_parameter_that_is_not_a_number_fails_its_check(name):
+    message, build = NOT_A_NUMBER[name]
+    with pytest.raises(BlocksweepError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("host", [_dr, _pd_dr])
+def test_a_splitting_config_checks_the_gamma_it_reads(host):
+    parse_config(yaml.safe_dump(host(solver={"gamma": 0.5})))
+    for gamma in (0.0, -1.0, NAN):
+        with pytest.raises(ConfigError, match="gamma must be > 0"):
+            parse_config(yaml.safe_dump(host(solver={"gamma": gamma})))

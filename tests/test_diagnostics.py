@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -520,6 +521,35 @@ def test_monte_carlo_summary_records_replica_errors():
     failed = [o for o in report.outcomes if o.error is not None]
     assert len(failed) == 1 and failed[0].seed == 1
     assert report.success_fraction == pytest.approx(2 / 3)
+
+
+def _one_record(residual):
+    record = bs.TraceRecord(0, residual, None, None, None, None, None, None)
+    return bs.IterateTrace((record,), bs.construct(bs.BlockDims([1])),
+                           "max_iterations")
+
+
+INF = math.inf
+
+
+@pytest.mark.parametrize("residuals, want", [
+    ([1.0, 2.0, INF], [1.0, 1.5, 2.0, INF, INF]),
+    ([1.0, INF], [1.0, INF, INF, INF, INF]),
+    ([INF, INF, INF], [INF] * 5),
+    # finite residuals keep np.quantile's bits
+    ([0.3, 0.1, 0.7, 0.2], np.quantile([0.3, 0.1, 0.7, 0.2],
+                                       [0, 0.25, 0.5, 0.75, 1]).tolist()),
+])
+def test_monte_carlo_quantiles_place_infinite_residuals_by_rank(residuals,
+                                                                 want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no inf - inf
+        report = bs.monte_carlo_summary(
+            lambda s: (_one_record(residuals[s]), None),
+            range(len(residuals)), threshold=1.0)
+    assert list(report.residual_quantiles.values()) == want
+    assert list(report.residual_quantiles) == ["min", "q25", "median",
+                                               "q75", "max"]
 
 
 def _diverged_at_once(seed):

@@ -124,14 +124,9 @@ def double_layer(dims, rule, n, rng, monkeypatch):
     B = bs.coupling_forward_operator(*coupling(dims.dims, rng))
     R = bs.forward_step_family(B, B.theta)
     cfg, x0 = cfg_for(rule, n, "ab"), start(dims, rng)
-    # the evaluate-only route also draws the b errors through a public
-    # sampler that returns BlockVectors
-    inner = (lambda k: bs.sample_error(GAUSSIAN, dims, k, cfg.seed,
-                                       solvers._SLOT_STREAMS["b"]))
-    cfg_a = cfg_for(rule, n, "a")
     return (lambda: bs.run_double_layer(T, R, cfg, x0),
             lambda: bs.run_double_layer(evaluate_only(T), evaluate_only(R),
-                                        cfg_a, x0, inner_error_sampler=inner))
+                                        cfg, x0))
 
 
 def _patch_fb_families(monkeypatch):

@@ -257,6 +257,17 @@ def test_dr_rejects_expansive_coupled_resolvent():
         bs.run_dr(A, bad, 1.0, cfg_for(1), bs.construct(d))
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+def test_splitting_drivers_reject_a_gamma_that_is_not_positive(gamma):
+    d = bs.BlockDims([1])
+    A = [bs.Subdifferential(bs.Zero(1))]
+    with pytest.raises(bs.ParameterError, match="gamma must be > 0"):
+        bs.run_dr(A, lambda v: v, gamma, cfg_for(1), bs.construct(d))
+    problem = pd_1d()["problem"]
+    with pytest.raises(bs.ParameterError, match="gamma must be > 0"):
+        bs.run_pd_dr(problem, gamma, cfg_for(2), bs.construct(d))
+
+
 def test_dr_with_errors_matches_manual_recursion():
     d = bs.BlockDims([1, 1])
     A = [bs.Subdifferential(bs.L1Norm(1, 0.4)),
@@ -271,9 +282,8 @@ def test_dr_with_errors_matches_manual_recursion():
                   tolerance=0.0, seed=11,
                   errors={"a": model_a, "b": model_b})
     x0 = bs.construct(d, [[2.0], [-1.0]])
-    z0 = bs.construct(d, [[0.5], [0.5]])
-    trace, _ = bs.run_dr(A, jb, gamma, cfg, x0, z0, check_resolvent=False)
-    x, z = x0, z0
+    trace, _ = bs.run_dr(A, jb, gamma, cfg, x0, check_resolvent=False)
+    x, z = x0, bs.construct(d)
     for n in range(6):
         q = jb(x)
         mask = bs.sample_mask(cfg.sweeping, n, 11)
@@ -619,8 +629,6 @@ def test_solver_config_validation():
         SolverConfig(sweeping=bs.single_block(1), max_iterations=0)
     with pytest.raises(bs.ParameterError):
         SolverConfig(sweeping=bs.single_block(1), errors={"q": bs.ErrorModel()})
-    with pytest.raises(bs.ParameterError):
-        SolverConfig(sweeping=bs.single_block(1), gamma=0.0)
 
 
 def test_coupled_min_problem_checks_functions_against_grid():
@@ -681,9 +689,8 @@ def test_each_driver_step_keeps_inactive_blocks_bit_identical(seed):
     M = S @ S.T + np.eye(d.total)
     coupling = bs.LinearMonotone(M, rng.standard_normal(d.total))
     jb = lambda v: bs.BlockVector(d, coupling.resolvent(v.flat, 0.9))
-    z0 = bs.BlockVector(d, rng.standard_normal(d.total))
     trace, _ = bs.run_dr([bs.Subdifferential(f) for f in fs], jb, 0.9,
-                         _one_step_cfg(4, seed, "ab"), x0, z0)
+                         _one_step_cfg(4, seed, "ab"), x0)
     _assert_inactive_kept(trace, x0)
 
     L = [[rng.standard_normal((2, 1)), rng.standard_normal((2, 2))]]
@@ -693,8 +700,7 @@ def test_each_driver_step_keeps_inactive_blocks_bit_identical(seed):
     xh = bs.BlockVector(h, rng.standard_normal(h.total))
     yg = bs.BlockVector(g, rng.standard_normal(g.total))
     trace, _ = bs.run_pd_dr(problem, 0.7, _one_step_cfg(3, seed, "abcd"),
-                            xh, bs.BlockVector(h, rng.standard_normal(3)),
-                            yg, bs.BlockVector(g, rng.standard_normal(2)))
+                            xh, y0=yg)
     _assert_inactive_kept(
         trace, bs.BlockVector(problem.k_dims,
                               np.concatenate([xh.flat, yg.flat])))
@@ -735,11 +741,7 @@ def test_splitting_step_matches_per_block_resolvent_loop(dims, seed):
                        tolerance=0.0, snapshot_stride=1, seed=seed,
                        errors={"a": model_a, "b": model_b})
     x0 = bs.BlockVector(d, rng.standard_normal(d.total))
-    # the shadow state's start is overwritten before it is ever read
-    z0 = bs.BlockVector(d, rng.standard_normal(d.total))
-    trace, _ = bs.run_dr(A, jb, gamma, cfg, x0, z0, check_resolvent=False)
-    assert trace == bs.run_dr(A, jb, gamma, cfg, x0,
-                              check_resolvent=False)[0]
+    trace, _ = bs.run_dr(A, jb, gamma, cfg, x0, check_resolvent=False)
     xs = trace.snapshots()
     assert len(trace.records) == 8 and len(xs) == 9
     for n, record in enumerate(trace.records):

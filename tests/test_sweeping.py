@@ -1,8 +1,10 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,12 +24,28 @@ from blocksweep import (
     sweeping,
 )
 from blocksweep.cli import execute_run, parse_config
+from blocksweep.errors import ConfigError
 
 
 def test_single_block_m1_always_active():
     rule = single_block(1)
     for n in range(20):
         assert sample_mask(rule, n, seed=n).bits == (1,)
+
+
+@pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.inf, 1.0],
+                                     [1e308, 1e308]])
+def test_single_block_weights_and_their_sum_must_be_finite(weights):
+    # each would leave block 1 a zero marginal, so it would never activate
+    doc = {"problem": {"kind": "km", "dims": [1, 1],
+                       "operator": {"type": "identity"}},
+           "sweeping": {"scheme": "single_block", "weights": weights}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning on the way
+        with pytest.raises(InvalidRuleError, match="finite"):
+            single_block(2, weights)
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(yaml.safe_dump(doc))
 
 
 def test_fixed_subset_full_size_always_all_ones():
