@@ -432,11 +432,10 @@ _OPERATORS = _Table("operator", "type", {
 
 def _linear_coupling(spec: Mapping, dims: BlockDims, gamma: float):
     """The coupled resolvent of a linear monotone ``B`` and ``B`` itself."""
-    M = np.array(spec["matrix"])
-    op = LinearMonotone(M, _array(spec, "offset"))
+    op = LinearMonotone(np.array(spec["matrix"]), _array(spec, "offset"))
     if op.dim != dims.total:
         raise ConfigError("coupling matrix must act on the full space")
-    norm = spectral_norm_psd(0.5 * (M + M.T))
+    norm = spectral_norm_psd(0.5 * (op.M + op.M.T))
     b_forward = CocoerciveOperator(
         dims, lambda v: BlockVector._own(dims, op.apply(v.flat)),
         1.0 / norm if norm > 0 else 1.0)

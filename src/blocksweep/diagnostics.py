@@ -329,52 +329,6 @@ def inclusion_residual(problem, candidate) -> InclusionReport:
     primal = candidate.primal if isinstance(candidate, PrimalDualSolution) else candidate
     dual = candidate.dual if isinstance(candidate, PrimalDualSolution) else None
 
-    if isinstance(problem, (FbProblem, CoupledMinProblem)):
-        if isinstance(problem, CoupledMinProblem):
-            A = [Subdifferential(f) for f in problem.fs]
-            B = problem.forward()
-        else:
-            A, B = list(problem.A), problem.B
-        bx = B.apply(primal) if B is not None else construct(primal.dims)
-        primal_res = _blockwise_fixed_point_residual(A, primal, bx, 1.0)
-        dual_res = None
-        if dual is not None:
-            res_a = max(
-                _membership_residual(A[i], primal.block(i), -dual.block(i), 1.0)
-                for i in range(primal.dims.m)
-            )
-            res_b = float(np.linalg.norm(bx.flat - dual.flat))
-            dual_res = max(res_a, res_b)
-        return InclusionReport(primal_res, dual_res)
-
-    if isinstance(problem, DrProblem):
-        gamma = problem.gamma
-        A = list(problem.A)
-        if dual is not None:
-            res_a = max(
-                _membership_residual(A[i], primal.block(i),
-                                     -dual.block(i), gamma)
-                for i in range(primal.dims.m)
-            )
-        if problem.B_forward is not None:
-            bx = problem.B_forward.apply(primal)
-            primal_res = _blockwise_fixed_point_residual(A, primal, bx, gamma)
-            dual_res = None
-            if dual is not None:
-                res_b = float(np.linalg.norm(bx.flat - dual.flat))
-                dual_res = max(res_a, res_b)
-        elif dual is not None:
-            # without a forward evaluation both residuals measure the pair
-            jb_arg = combine(1.0, primal, gamma, dual)
-            res_b = distance(primal, problem.JB(jb_arg))
-            primal_res = dual_res = max(res_a, res_b)
-        else:
-            raise CapabilityError(
-                "need either a forward evaluation of the coupled operator "
-                "or a dual point to measure this inclusion"
-            )
-        return InclusionReport(primal_res, dual_res)
-
     if isinstance(problem, PdDrProblem):
         if dual is None:
             raise CapabilityError(
@@ -397,9 +351,38 @@ def inclusion_residual(problem, candidate) -> InclusionReport:
             ) ** 2
         return InclusionReport(math.sqrt(res_a_sq), math.sqrt(res_b_sq))
 
-    raise CapabilityError(
-        f"inclusion residuals are not available for {type(problem).__name__}"
-    )
+    if isinstance(problem, CoupledMinProblem):
+        A, B = [Subdifferential(f) for f in problem.fs], problem.forward()
+        gamma = 1.0
+    elif isinstance(problem, FbProblem):
+        A, B, gamma = list(problem.A), problem.B, 1.0
+    elif isinstance(problem, DrProblem):
+        A, B, gamma = list(problem.A), problem.B_forward, problem.gamma
+    else:
+        raise CapabilityError(
+            "inclusion residuals are not available for "
+            f"{type(problem).__name__}")
+
+    if dual is not None:
+        res_a = max(
+            _membership_residual(A[i], primal.block(i), -dual.block(i), gamma)
+            for i in range(primal.dims.m)
+        )
+    if isinstance(problem, DrProblem) and B is None:
+        if dual is None:
+            raise CapabilityError(
+                "need either a forward evaluation of the coupled operator "
+                "or a dual point to measure this inclusion"
+            )
+        # without a forward evaluation both residuals measure the pair
+        res_b = distance(primal, problem.JB(combine(1.0, primal, gamma, dual)))
+        return InclusionReport(max(res_a, res_b), max(res_a, res_b))
+    bx = B.apply(primal) if B is not None else construct(primal.dims)
+    primal_res = _blockwise_fixed_point_residual(A, primal, bx, gamma)
+    if dual is None:
+        return InclusionReport(primal_res, None)
+    res_b = float(np.linalg.norm(bx.flat - dual.flat))
+    return InclusionReport(primal_res, max(res_a, res_b))
 
 
 # ---------------------------------------------------------------------------

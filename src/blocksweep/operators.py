@@ -77,6 +77,12 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
+def _finite_param(a: np.ndarray, name: str) -> None:
+    """Reject a parameter array with an infinite or NaN entry."""
+    if not np.isfinite(a).all():
+        raise ParameterError(f"{name} must be finite")
+
+
 # ---------------------------------------------------------------------------
 # proximal function catalog
 # ---------------------------------------------------------------------------
@@ -138,6 +144,7 @@ class SquaredDistance(ProxFunction):
 
     def __init__(self, center, weight: float = 1.0):
         center = np.atleast_1d(np.asarray(center, dtype=np.float64))
+        _finite_param(center, "sq_l2 center")
         if not weight > 0:
             raise ParameterError("sq_l2 weight must be > 0")
         object.__setattr__(self, "center", center)
@@ -205,6 +212,7 @@ class BallIndicator(ProxFunction):
 
     def __init__(self, center, radius: float):
         center = np.atleast_1d(np.asarray(center, dtype=np.float64))
+        _finite_param(center, "ball center")
         if not radius > 0:
             raise ParameterError("ball radius must be > 0")
         object.__setattr__(self, "center", center)
@@ -241,6 +249,8 @@ class Quadratic(ProxFunction):
         b = np.atleast_1d(np.asarray(b, dtype=np.float64))
         if Q.shape[0] != Q.shape[1] or Q.shape[0] != b.shape[0]:
             raise ShapeError("Q must be square and match b")
+        _finite_param(Q, "quadratic Q")
+        _finite_param(b, "quadratic b")
         if not np.allclose(Q, Q.T, atol=1e-12):
             raise ParameterError("Q must be symmetric")
         if np.linalg.eigvalsh(Q).min() < -1e-10:
@@ -334,6 +344,8 @@ class LinearMonotone(MonotoneOperator):
         offset = np.atleast_1d(np.asarray(offset, dtype=np.float64))
         if offset.shape != (M.shape[0],):
             raise ShapeError("offset must match M")
+        _finite_param(M, "linear monotone M")
+        _finite_param(offset, "linear monotone offset")
         sym = 0.5 * (M + M.T)
         if np.linalg.eigvalsh(sym).min() < -1e-10:
             raise ParameterError("M is not monotone (symmetric part has a "
@@ -641,10 +653,10 @@ class LinearBlockOperator:
                         f"grid entry ({k},{i}) has shape {mats[k][i].shape}, "
                         f"expected ({tdims[k]},{sdims[i]})"
                     )
-        self.grid = tuple(tuple(row) for row in mats)
         self.source_dims = BlockDims(sdims)
         self.target_dims = BlockDims(tdims)
         self.stacked = np.block([[mats[k][i] for i in range(m)] for k in range(p)])
+        _finite_param(self.stacked, "grid entries")
 
     @property
     def p(self) -> int:
@@ -666,42 +678,16 @@ class LinearBlockOperator:
 
     def row_gram(self, k: int) -> np.ndarray:
         """``sum_i L_ki L_ki'`` for target block ``k`` (symmetric PSD)."""
-        g = np.zeros((self.target_dims.dims[k],) * 2)
-        for i in range(self.m):
-            e = self.grid[k][i]
-            g += e @ e.T
-        return g
+        rows = self.stacked[self.target_dims.slice(k)]
+        return rows @ rows.T
 
 
-def spectral_norm_psd(mat: np.ndarray, iterations: int = 200,
-                      tol: float = 1e-12) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
-    n = mat.shape[0]
-    v = np.full(n, 1.0 / math.sqrt(n))
-    lam = 0.0
-    for attempt in range(2):
-        for _ in range(iterations):
-            w = mat @ v
-            norm = float(np.linalg.norm(w))
-            if norm == 0.0:
-                break
-            v = w / norm
-            new_lam = float(v @ mat @ v)
-            if lam > 0 and abs(new_lam - lam) <= tol * lam:
-                lam = new_lam
-                return lam
-            lam = new_lam
-        if lam > 0:
-            return lam
-        # a deterministic restart in case the start vector was orthogonal
-        # to the leading eigenspace
-        v = np.random.default_rng(0).standard_normal(n)
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            break
-        v = v / nv
-    return lam
+def spectral_norm_psd(mat: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric PSD matrix, by one ``eigvalsh``.
+
+    Only the lower triangle of ``mat`` is read.
+    """
+    return float(np.linalg.eigvalsh(mat)[-1])
 
 
 @dataclass(frozen=True)
@@ -815,8 +801,9 @@ def forward_coupling_eval(
 def cocoercivity_bound(L: LinearBlockOperator, taus: Sequence[float]) -> float:
     """Cocoercivity constant of the coupling gradient.
 
-    Returns ``1 / sum_k tau_k * ||sum_i L_ki L_ki'||`` with spectral norms by
-    power iteration.  Requires every target row of the grid to be nonzero.
+    Returns ``1 / sum_k tau_k * ||sum_i L_ki L_ki'||``, each spectral norm
+    from one symmetric eigensolve.  Requires every target row of the grid to
+    be nonzero.
     """
     if len(taus) != L.p:
         raise ShapeError(f"need {L.p} Lipschitz constants, got {len(taus)}")
@@ -980,6 +967,10 @@ class Schedule:
             raise ParameterError("a ramp schedule needs both end and ramp")
         if self.ramp is not None and self.ramp < 1:
             raise ParameterError("ramp length must be >= 1")
+        ends = (self.start,) if self.end is None else (self.start, self.end)
+        if not all(map(math.isfinite, ends)):
+            raise ParameterError("schedule start and end must be finite, "
+                                 f"got {self.start} and {self.end}")
 
     def at(self, n: int) -> float:
         if self.end is None:
@@ -1089,6 +1080,7 @@ def prox_family(
 def _sweep_family(sweep, gamma, fixed_points=()) -> BlockOperatorFamily:
     """The 1/2-averaged family ``x -> sweep(x, gamma_n)``."""
     gamma, apply = as_schedule(gamma), _sweep_map(sweep)
+    _check_gamma(gamma.bounds()[0])  # a ramp's values lie between its ends
     return _family(sweep.dims, lambda n, x: apply(x, gamma.at(n)),
                    "averaged", 0.5, fixed_points)
 
@@ -1147,6 +1139,8 @@ def affine_family(
     )
     if c.shape != (dims.total,):
         raise ShapeError("offset must match the total dimension")
+    _finite_param(S, "affine matrix")
+    _finite_param(c, "affine offset")
 
     return _family(dims, lambda n, x: S @ x + c, regularity, averaging,
                    fixed_points)

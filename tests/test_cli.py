@@ -89,6 +89,34 @@ def test_fb_stepsize_at_twice_theta_rejected():
     parse_config(FB_TEMPLATE.format(stepsize="1.0"))  # interior is fine
 
 
+# one smooth row whose gram is diag(1, 0.998001): theta = 1 exactly, and
+# the top two eigenvalues are close
+FB_MIN_CLOSE_EIGENVALUES = """
+problem:
+  kind: fb_min
+  dims: [1, 1]
+  functions:
+    - {{kind: zero, dim: 1}}
+    - {{kind: zero, dim: 1}}
+  smooth:
+    - {{kind: sq_l2, center: [1.0, 1.0]}}
+  grid: [[[[1.0], [0.0]], [[0.0], [0.999]]]]
+solver: {{relaxation: 0.9, stepsize: {stepsize}, tolerance: 1.0e-9}}
+sweeping: {{scheme: single_block}}
+seeds: [0]
+"""
+
+
+def test_fb_min_stepsize_bound_reads_the_exact_theta(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"\]0, 2\*theta\[ = \]0, 2\.0\["):
+        parse_config(FB_MIN_CLOSE_EIGENVALUES.format(stepsize="2.0005"))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(FB_MIN_CLOSE_EIGENVALUES.format(stepsize="2.0005"))
+    assert main(["validate", str(cfg)]) == 1
+    assert "2*theta" in capsys.readouterr().err
+    parse_config(FB_MIN_CLOSE_EIGENVALUES.format(stepsize="1.999"))
+
+
 def test_dr_relaxation_bound_rejected():
     bad = DR_1D.replace("dr_relaxation: 1.0", "dr_relaxation: 2.0")
     with pytest.raises(ConfigError, match=r"\]0, 2\["):

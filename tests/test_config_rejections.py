@@ -165,6 +165,22 @@ def _gaussian(scale):
 
 ONE = bs.BlockDims([1])
 NAN = math.nan
+
+
+def _in_problem(doc, **keys):
+    doc["problem"].update(keys)
+    return doc
+
+
+def _parsing(doc):
+    return lambda: parse_config(yaml.safe_dump(doc))
+
+
+def _prox_gamma(gamma):
+    return _km({"type": "prox", "functions": [ZERO], "gamma": gamma},
+               dims=[1])
+
+
 # a check written ``x < 0`` or ``x <= 0`` lets a NaN through
 NOT_A_NUMBER = {
     "tolerance": ("tolerance must be", lambda: parse_config(yaml.safe_dump(
@@ -186,6 +202,40 @@ NOT_A_NUMBER = {
                   lambda: bs.SmoothTerm(1, lambda y: y, NAN)),
     "cocoercivity": ("cocoercivity constant must be",
                      lambda: bs.CocoerciveOperator(ONE, lambda v: v, NAN)),
+    "relaxation_end": ("schedule start and end must be finite", _parsing(
+        _km(IDENTITY, dims=[1], solver={"relaxation": {
+            "start": 0.5, "end": NAN, "ramp": 5}}))),
+    # a NaN gamma is a NaN schedule, caught before its bound is
+    "prox_gamma_nan": ("schedule start and end must be finite",
+                       _parsing(_prox_gamma(NAN))),
+    "prox_gamma_zero": ("gamma must be > 0", _parsing(_prox_gamma(0.0))),
+    "prox_gamma_negative": ("gamma must be > 0", _parsing(_prox_gamma(-1.0))),
+    "sq_l2_center": ("sq_l2 center must be finite", _parsing(
+        _prox_km({"kind": "sq_l2", "center": [NAN]}))),
+    "smooth_sq_l2_center": ("sq_l2 center must be finite", _parsing(
+        _in_problem(_fb_min(), smooth=[{"kind": "sq_l2", "center": [NAN]}]))),
+    "ball_center": ("ball center must be finite", _parsing(
+        _prox_km({"kind": "indicator_ball", "center": [NAN],
+                  "radius": 1.0}))),
+    "quadratic_offset": ("quadratic b must be finite", _parsing(
+        _prox_km({"kind": "quadratic", "matrix": [[1.0]],
+                  "offset": [NAN]}))),
+    "fb_forward_offset": ("quadratic b must be finite", _parsing(
+        _in_problem(_fb(0.5), forward={"type": "linear", "matrix": [[1.0]],
+                                       "offset": [NAN]}))),
+    "affine_matrix": ("affine matrix must be finite", _parsing(
+        _km({"type": "affine", "matrix": [[NAN]]}, dims=[1]))),
+    "affine_offset": ("affine offset must be finite", _parsing(
+        _affine(offset=[0.0, NAN]))),
+    "dr_coupling_matrix": ("linear monotone M must be finite", _parsing(
+        _in_problem(_dr(), coupling={"type": "linear", "matrix": [[NAN]]}))),
+    "dr_coupling_offset": ("linear monotone offset must be finite", _parsing(
+        _in_problem(_dr(), coupling={"type": "linear", "matrix": [[1.0]],
+                                     "offset": [NAN]}))),
+    "fb_min_grid_entry": ("grid entries must be finite", _parsing(
+        _fb_min(grid=[[[[1.0]], [[NAN]]]]))),
+    "pd_dr_grid_entry": ("grid entries must be finite", _parsing(
+        _pd_dr(grid=[[[[1.0]], [[NAN]]]]))),
 }
 
 

@@ -360,6 +360,20 @@ def test_inclusion_residual_of_a_dr_pair_without_forward_evaluation():
         assert rep.primal_res == rep.dual_res > 0.01
 
 
+def test_inclusion_residual_of_an_fb_pair():
+    # at the solution x of 0 in A x + B x, the pair (x, B x) has -B x in A x
+    suite = box_quadratic_m4()
+    problem, B = suite["problem"], suite["B"]
+    x = bs.oracle_reference(problem)
+    rep = bs.inclusion_residual(problem, bs.PrimalDualSolution(x, B.apply(x)))
+    assert rep.primal_res == bs.inclusion_residual(problem, x).primal_res
+    assert rep.primal_res <= 1e-8 and rep.dual_res <= 1e-8
+    # a dual point off B x by 0.1 per block is 0.2 away in norm
+    off = bs.BlockVector(x.dims, B.apply(x).flat + 0.1)
+    rep = bs.inclusion_residual(problem, bs.PrimalDualSolution(x, off))
+    assert rep.dual_res >= 0.2 - 1e-12
+
+
 def test_inclusion_residual_zero_candidate():
     suite = dr_1d()
     d = suite["dims"]

@@ -199,6 +199,13 @@ def test_cocoercivity_bound_examples():
     assert bs.cocoercivity_bound(Ltwo, [1.0, 3.0]) == pytest.approx(0.25)
 
 
+def test_cocoercivity_bound_is_exact_when_the_top_eigenvalues_are_close():
+    # one row over two blocks; its gram is diag(1, 0.998001)
+    L = bs.LinearBlockOperator([[np.array([[1.0], [0.0]]),
+                                 np.array([[0.0], [0.999]])]])
+    assert bs.cocoercivity_bound(L, [1.0]) == pytest.approx(1.0, rel=1e-14)
+
+
 def test_cocoercivity_bound_rejects_zero_row():
     L = bs.LinearBlockOperator([[np.array([[1.0]])], [np.array([[0.0]])]])
     with pytest.raises(bs.ParameterError):
@@ -227,6 +234,18 @@ def test_spectral_norm_psd_matches_eigvalsh():
         assert spectral_norm_psd(S) == pytest.approx(
             float(np.linalg.eigvalsh(S).max()), rel=1e-9)
     assert spectral_norm_psd(np.zeros((3, 3))) == 0.0
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-2])
+def test_spectral_norm_psd_is_exact_when_the_top_gap_is_small(gap):
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        R, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        spectrum = np.concatenate([rng.uniform(0.0, 0.5, 6), [1.0 - gap, 1.0]])
+        S = (R * spectrum) @ R.T
+        S = 0.5 * (S + S.T)
+        assert spectral_norm_psd(S) == pytest.approx(
+            float(np.linalg.eigvalsh(S)[-1]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
