@@ -69,10 +69,12 @@ full grammar:
 
 Each kind of spec is one entry of a table that gives its keys (with their
 coercers and defaults) and its constructor.  One walker checks the grammar
-of every spec against its entry: unknown or missing keys, value types, and
-one entry per block.  The values are checked only by what it feeds, with
-their own messages: the constructors (block dims, schedules, regularity
-tags, grids, box bounds) and each driver's ``_check_*`` (shapes, sweeping
+of every spec against its entry, and only the grammar: unknown or missing
+keys, value types, and one spec per block.  The values are checked only by
+what it feeds, with their own messages: the constructors (block dims,
+schedules, regularity tags, grids, box bounds), ``construct`` (the blocks
+of ``initial``, ``reference``, ``constant.value`` and
+``affine.fixed_points``) and each driver's ``_check_*`` (shapes, sweeping
 rule, error slots, hypothesis bounds), on the first seed's settings.  Both
 run at parse time, which turns their errors into a ``ConfigError``, so a
 config that parses passes every check a seed makes before its first
@@ -241,7 +243,6 @@ def _list_of(item, per_block: bool = False):
 _float_list = _list_of(_float)
 _int_list = _list_of(_int)
 _rows = _list_of(_float_list)
-_per_block_arrays = _list_of(_float_list, per_block=True)
 
 
 def _matrix(value, context: str, dims=None) -> list[list[float]]:
@@ -254,14 +255,6 @@ def _matrix(value, context: str, dims=None) -> list[list[float]]:
 
 
 _grid = _list_of(_list_of(_matrix))
-
-
-def _blocks_value(value, context: str, dims) -> list[list[float]]:
-    blocks = _per_block_arrays(value, context, dims)
-    for i, (block, d) in enumerate(zip(blocks, dims)):
-        if len(block) != d:
-            _fail(context, f"block {i} has length {len(block)}, expected {d}")
-    return blocks
 
 
 def _str(value, context: str, dims=None) -> str:
@@ -417,10 +410,10 @@ _OPERATORS = _Table("operator", "type", {
                 "offset": (_float_list, _OMITTED),
                 "regularity": (_str, "nonexpansive"),
                 "alpha": (_schedule_node, _OMITTED),
-                "fixed_points": (_list_of(_blocks_value), _OMITTED)},
+                "fixed_points": (_list_of(_rows), _OMITTED)},
                _affine),
     "identity": ({}, lambda s, dims: forward_step_family(None, 1.0, dims)),
-    "constant": ({"value": (_blocks_value, _REQUIRED)},
+    "constant": ({"value": (_rows, _REQUIRED)},
                  lambda s, dims: constant_family(construct(dims, s["value"]))),
     "forward_step": (
         {**_COUPLED_SMOOTH, "stepsize": (_schedule_node, _REQUIRED)},
@@ -431,23 +424,21 @@ _OPERATORS = _Table("operator", "type", {
 
 
 def _linear_coupling(spec: Mapping, dims: BlockDims, gamma: float):
-    """The coupled resolvent of a linear monotone ``B`` and ``B`` itself."""
+    """The coupled resolvent of a linear monotone ``B``.
+
+    ``B`` need not be cocoercive, so the plan claims no forward evaluation.
+    """
     op = LinearMonotone(np.array(spec["matrix"]), _array(spec, "offset"))
     if op.dim != dims.total:
         raise ConfigError("coupling matrix must act on the full space")
-    norm = spectral_norm_psd(0.5 * (op.M + op.M.T))
-    b_forward = CocoerciveOperator(
-        dims, lambda v: BlockVector._own(dims, op.apply(v.flat)),
-        1.0 / norm if norm > 0 else 1.0)
-    return (lambda v: BlockVector._own(dims, op.resolvent(v.flat, gamma)),
-            b_forward)
+    return lambda v: BlockVector._own(dims, op.resolvent(v.flat, gamma))
 
 
 def _separable_coupling(spec: Mapping, dims: BlockDims, gamma: float):
     """The coupled resolvent of a blockwise ``B``, whose blocks match dims."""
     ops = [_build(_MONOTONES, b) for b in spec["blocks"]]
     _check_terms(tuple(op.dim for op in ops), dims, "coupling block")
-    return blockwise_resolvent(ops, gamma), None
+    return blockwise_resolvent(ops, gamma)
 
 
 _COUPLINGS = _Table("coupling", "type", {
@@ -590,15 +581,20 @@ class _RunPlan:
     config: SolverConfig | None = None
 
 
+def _construct(dims: BlockDims, blocks, key: str) -> BlockVector:
+    """``construct(dims, blocks)``, its error named by the config ``key``."""
+    try:
+        return construct(dims, blocks)
+    except ShapeError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _initial(rc: RunConfig, key: str, dims: BlockDims,
              zero: bool = True) -> BlockVector | None:
     """The config's start ``key`` on ``dims``; if absent, zero or None."""
     if key not in rc.initial:
         return construct(dims) if zero else None
-    try:
-        return construct(dims, rc.initial[key])
-    except ShapeError as exc:  # construct's check, named by the key
-        raise ConfigError(f"initial.{key}: {exc}") from exc
+    return _construct(dims, rc.initial[key], f"initial.{key}")
 
 
 def _plan_km(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
@@ -636,8 +632,8 @@ def _plan_double_layer(prob: Mapping, rc: RunConfig,
 def _plan_dr(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
     gamma = rc.solver["gamma"]
     A = tuple(_build(_MONOTONES, b) for b in prob["blocks"])
-    jb, b_forward = _build(_COUPLINGS, prob["coupling"], dims, gamma)
-    problem = DrProblem(A, jb, gamma, dims, b_forward)
+    jb = _build(_COUPLINGS, prob["coupling"], dims, gamma)
+    problem = DrProblem(A, jb, gamma, dims)
     x0 = _initial(rc, "x0", dims)
     return _RunPlan(
         dims.m, problem, dims,
@@ -720,7 +716,7 @@ def _build_solver_config(rc: RunConfig, plan: _RunPlan,
     solver = rc.solver
     reference = None
     if rc.reference is not None:
-        reference = construct(plan.dims, rc.reference)
+        reference = _construct(plan.dims, rc.reference, "reference")
     return SolverConfig(
         sweeping=_build_sweeping(rc, plan.mask_blocks),
         relaxation=Schedule(**solver["relaxation"]),
@@ -749,7 +745,6 @@ def parse_config(text: str) -> RunConfig:
     _allow_keys(doc, ("problem", "solver", "sweeping", "errors", "seeds",
                       "initial", "reference", "output"), "config")
     problem = _spec(_get(doc, "problem", "config"), "problem", _PROBLEMS)
-    dims = problem["dims"]
     solver = _walk({} if doc.get("solver") is None else doc["solver"],
                    "solver", _SOLVER)
     sweeping = _spec(_get(doc, "sweeping", "config"), "sweeping", _SCHEMES)
@@ -767,8 +762,8 @@ def parse_config(text: str) -> RunConfig:
         initial = {key: _rows(value, f"initial.{key}")
                    for key, value in init.items()}
     reference = None
-    if doc.get("reference") is not None:
-        reference = _blocks_value(doc["reference"], "reference", dims)
+    if doc.get("reference") is not None:  # checked by the plan, as a start
+        reference = _rows(doc["reference"], "reference")
     output_directory = None
     if doc.get("output") is not None:
         out = _mapping(doc["output"], "output")

@@ -398,20 +398,19 @@ def _check_oracle_scale(dims: BlockDims) -> None:
 
 
 def _full_fb_reference(
-    A: Sequence[MonotoneOperator],
+    resolvents: SeparableSweep,
     B,
-    dims: BlockDims,
     gamma: float,
     max_iterations: int,
     tol: float,
 ) -> BlockVector:
+    dims = resolvents.dims
     x = construct(dims)
-    sweep = SeparableSweep(A, "resolvent")
     for _ in range(max_iterations):
         arg = x
         if B is not None:
             arg = BlockVector._own(dims, x.flat - gamma * B.apply(x).flat)
-        nxt = sweep.apply(arg, gamma)
+        nxt = resolvents.apply(arg, gamma)
         if distance(nxt, x) < tol:
             return nxt
         x = nxt
@@ -422,19 +421,17 @@ def _full_fb_reference(
 
 
 def _full_dr_reference(
-    A: Sequence[MonotoneOperator],
+    resolvents: SeparableSweep,
     jb: Callable[[BlockVector], BlockVector],
-    dims: BlockDims,
     gamma: float,
     max_iterations: int,
     tol: float,
 ) -> BlockVector:
-    x = construct(dims)
-    sweep = SeparableSweep(A, "resolvent")
+    x = construct(resolvents.dims)
     for _ in range(max_iterations):
         q = jb(x)
         refl = combine(2.0, q, -1.0, x)
-        ja = sweep.apply(refl, gamma)
+        ja = resolvents.apply(refl, gamma)
         residual = 2.0 * distance(ja, q)
         if residual < tol:
             return jb(x)
@@ -475,10 +472,7 @@ def oracle_reference(
     if isinstance(problem, CoupledMinProblem):
         _check_oracle_scale(problem.dims)
         pieces = [_quadratic_pieces(f) for f in problem.fs]
-        smooth_pieces = [
-            (g.hessian, g.linear) if g.hessian is not None else None
-            for g in problem.smooth
-        ]
+        smooth_pieces = [_quadratic_pieces(g.fn) for g in problem.smooth]
         if all(p is not None for p in pieces) and all(
             p is not None for p in smooth_pieces
         ):
@@ -501,25 +495,24 @@ def oracle_reference(
             if np.linalg.eigvalsh(0.5 * (H + H.T)).min() > 1e-10:
                 return BlockVector._own(problem.dims, np.linalg.solve(H, rhs))
         B = problem.forward()
-        A = [Subdifferential(f) for f in problem.fs]
-        return _full_fb_reference(A, B, problem.dims, B.theta,
+        return _full_fb_reference(problem.resolvents, B, B.theta,
                                   max_iterations, tol)
 
     if isinstance(problem, FbProblem):
         _check_oracle_scale(problem.dims)
         gamma = problem.B.theta if problem.B is not None else 1.0
-        return _full_fb_reference(problem.A, problem.B, problem.dims, gamma,
+        return _full_fb_reference(problem.resolvents, problem.B, gamma,
                                   max_iterations, tol)
 
     if isinstance(problem, DrProblem):
         _check_oracle_scale(problem.dims)
-        return _full_dr_reference(problem.A, problem.JB, problem.dims,
+        return _full_dr_reference(problem.resolvents, problem.JB,
                                   problem.gamma, max_iterations, tol)
 
     if isinstance(problem, PdDrProblem):
         _check_oracle_scale(problem.k_dims)
-        zk = _full_dr_reference(problem.k_ops, problem.project,
-                                problem.k_dims, 1.0, max_iterations, tol)
+        zk = _full_dr_reference(problem.resolvents, problem.project, 1.0,
+                                max_iterations, tol)
         return BlockVector(problem.h_dims, zk.flat[: problem.h_dims.total])
 
     if isinstance(problem, KmProblem):

@@ -346,7 +346,7 @@ class LinearMonotone(MonotoneOperator):
             raise ShapeError("offset must match M")
         _finite_param(M, "linear monotone M")
         _finite_param(offset, "linear monotone offset")
-        sym = 0.5 * (M + M.T)
+        sym = 0.5 * M + 0.5 * M.T  # 0.5 * (M + M.T) overflows near the max
         if np.linalg.eigvalsh(sym).min() < -1e-10:
             raise ParameterError("M is not monotone (symmetric part has a "
                                  "negative eigenvalue)")
@@ -694,16 +694,18 @@ def spectral_norm_psd(mat: np.ndarray) -> float:
 class SmoothTerm:
     """A differentiable convex term with a Lipschitz gradient.
 
-    ``hessian``/``linear`` are set by the quadratic constructors so that
-    exact references can recognize quadratic structure.
+    ``fn`` is the catalog function the term differentiates: the
+    ``Quadratic`` or ``SquaredDistance`` its constructor below built, and
+    ``None`` for a term built from its gradient alone.  Coupling grids group
+    their ``sq_l2`` rows by it, and exact references read quadratic
+    structure from it.
     """
 
     dim: int
     gradient: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
     value: Callable[[np.ndarray], float] | None = None
-    hessian: np.ndarray | None = None
-    linear: np.ndarray | None = None
+    fn: ProxFunction | None = None
 
     def __post_init__(self):
         if not self.lipschitz > 0:
@@ -715,29 +717,22 @@ class SmoothTerm:
         tau = spectral_norm_psd(f.Q)
         if tau == 0.0:
             tau = 1e-30  # the zero map is L-Lipschitz for every L
-        return SmoothTerm(f.dim, lambda y: f.Q @ y + f.b, tau, f.value,
-                          hessian=f.Q, linear=f.b)
+        return SmoothTerm(f.dim, lambda y: f.Q @ y + f.b, tau, f.value, f)
 
     @staticmethod
     def squared_distance(center, weight: float = 1.0) -> "SmoothTerm":
         f = SquaredDistance(center, weight)
-        term = SmoothTerm(
-            f.dim, lambda y: f.weight * (y - f.center), f.weight, f.value,
-            hessian=weight * np.eye(f.dim), linear=-weight * f.center,
-        )
-        # the function behind the term, read by _SmoothRows to group rows
-        object.__setattr__(term, "_sq_l2", f)
-        return term
+        return SmoothTerm(f.dim, lambda y: f.weight * (y - f.center),
+                          f.weight, f.value, f)
 
 
 class _SmoothRows:
     """The smooth terms of a coupling grid, grouped once.
 
-    Rows made by ``SmoothTerm.squared_distance`` are one ``_Group`` of
-    their ``sq_l2`` functions: their gradients are one elementwise
-    expression over the stacked image ``Lx`` with the weights and centers
-    stacked entry by entry, equal to the per-row calls, and their values
-    are the group's.  Every other row keeps its per-row call, and values
+    Rows whose ``fn`` is a ``SquaredDistance`` are one ``_Group`` of those
+    functions: their gradients are one elementwise expression over the
+    stacked image ``Lx`` with the weights and centers stacked entry by
+    entry, equal to the per-row calls, and their values are the group's.  Every other row keeps its per-row call, and values
     are returned in row order.
     """
 
@@ -747,11 +742,11 @@ class _SmoothRows:
                      "smooth term")
         self.L, self.grads = L, grads
         off = self.off = L.target_dims.offsets
-        sq = [(k, g._sq_l2) for k, g in enumerate(grads)
-              if hasattr(g, "_sq_l2")]
+        sq = [(k, g.fn) for k, g in enumerate(grads)
+              if type(g.fn) is SquaredDistance]
         self.group = _Group(SquaredDistance, sq, off) if sq else None
         self.loose = [k for k, g in enumerate(grads)
-                      if not hasattr(g, "_sq_l2")]
+                      if type(g.fn) is not SquaredDistance]
         self.has_values = all(g.value is not None for g in grads)
 
     def apply(self, x: BlockVector) -> BlockVector:
@@ -816,13 +811,23 @@ def cocoercivity_bound(L: LinearBlockOperator, taus: Sequence[float]) -> float:
 
 
 def _row_grams(L: LinearBlockOperator) -> list[np.ndarray]:
-    """``sum_i L_ki L_ki'`` for each image row ``k``, checked nonzero."""
-    grams = [L.row_gram(k) for k in range(L.p)]
-    for k, gram in enumerate(grams):
-        if float(np.trace(gram)) <= 0.0:  # PSD: zero exactly when its trace is
+    """``sum_i L_ki L_ki'`` for each image row ``k``, checked nonzero.
+
+    A row whose gram overflows is rejected here too, before the graph
+    projector or a cocoercivity constant reads it.
+    """
+    with np.errstate(over="ignore"):
+        grams = [L.row_gram(k) for k in range(L.p)]
+        traces = [float(np.trace(gram)) for gram in grams]
+    for k, trace in enumerate(traces):
+        if trace <= 0.0:  # PSD: zero exactly when its trace is
             raise ParameterError(
                 f"image row {k} of the coupling grid is zero; every row "
                 "must carry a nonzero operator")
+        if not math.isfinite(trace):
+            raise ParameterError(
+                f"image row {k} of the coupling grid overflows: the sum of "
+                "its squared entries is not finite")
     return grams
 
 

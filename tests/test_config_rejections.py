@@ -7,13 +7,14 @@ Every config below breaks one value rule, and both ``parse_config`` and
 ``blocksweep validate`` must reject it, whichever layer the rule lives in.
 """
 
+import json
 import math
 
 import pytest
 import yaml
 
 import blocksweep as bs
-from blocksweep.cli import main, parse_config
+from blocksweep.cli import execute_run, main, parse_config
 from blocksweep.errors import BlocksweepError, ConfigError
 
 SMOOTH = {"kind": "sq_l2", "center": [1.0]}
@@ -75,6 +76,7 @@ def _fb(stepsize):
             "sweeping": {"scheme": "single_block"}, "seeds": [0]}
 
 
+HUGE = [[[[1.0e200]], [[1.0e200]]]]  # finite, but its row gram is not
 NO_RAMP = {"start": 0.5, "end": 0.25}
 RAMP_0 = {"start": 0.5, "end": 0.25, "ramp": 0}
 LONG = [[1.0, 2.0], [3.0]]  # block 0 one entry too long
@@ -116,6 +118,15 @@ REJECTED = {
     "fixed_points_block_count": _affine(fixed_points=[SHORT]),
     "constant_value_block_length": _km({"type": "constant", "value": LONG}),
     "constant_value_block_count": _km({"type": "constant", "value": SHORT}),
+    "pd_dr_grid_overflow": _pd_dr(grid=HUGE),
+    "fb_min_grid_overflow": _fb_min(grid=HUGE),
+    "fb_coupling_grid_overflow": {**_fb(0.5), "problem": {
+        "kind": "fb", "dims": [1], "blocks": [ZERO],
+        "forward": {"type": "coupling", "smooth": [SMOOTH],
+                    "grid": [[[[1.0e200]]]]}}},
+    "forward_step_grid_overflow": _km({"type": "forward_step",
+                                       "smooth": [SMOOTH], "grid": HUGE,
+                                       "stepsize": 0.5}),
 }
 
 
@@ -144,6 +155,26 @@ def test_validate_exits_1_on_a_broken_value(tmp_path, capsys, name):
     cfg.write_text(yaml.safe_dump(REJECTED[name]))
     assert main(["validate", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("invalid config: ")
+
+
+@pytest.mark.parametrize("name", sorted(n for n in REJECTED
+                                       if n.endswith("_grid_overflow")))
+def test_a_grid_row_that_overflows_is_named(tmp_path, capsys, name):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(REJECTED[name]))
+    assert main(["validate", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "invalid config: image row 0 of the coupling grid overflows: the sum "
+        "of its squared entries is not finite\n")
+
+
+@pytest.mark.parametrize("reference,message", [
+    (LONG, r"block 0 has shape \(2,\), expected \(1,\)"),
+    (SHORT, "expected 2 blocks of data, got 1"),
+], ids=["block_length", "block_count"])
+def test_a_wrong_reference_names_its_key(reference, message):
+    with pytest.raises(ConfigError, match=rf"^reference: {message}$"):
+        parse_config(yaml.safe_dump(_km(IDENTITY, reference=reference)))
 
 
 @pytest.mark.parametrize("key", ["x0", "y0"])
@@ -252,3 +283,35 @@ def test_a_splitting_config_checks_the_gamma_it_reads(host):
     for gamma in (0.0, -1.0, NAN):
         with pytest.raises(ConfigError, match="gamma must be > 0"):
             parse_config(yaml.safe_dump(host(solver={"gamma": gamma})))
+
+
+# finite data near the float maximum that every check must take quietly
+QUIET = {
+    # a monotone coupling, not cocoercive, whose symmetric part overflows
+    "dr_coupling_max": _in_problem(_dr(), coupling={
+        "type": "linear", "matrix": [[1.0e308]]}),
+    "dr_coupling_not_symmetric": _in_problem(_dr(), dims=[2], blocks=[
+        {"kind": "zero", "dim": 2}], coupling={
+            "type": "linear", "matrix": [[1.0, 1.0], [-1.0, 1.0]]}),
+    "dr_block_linear_monotone_max": _in_problem(_dr(), blocks=[{
+        "kind": "linear_monotone", "matrix": [[1.0e308]]}]),
+    # theta = 1 / (1e308 * 0.25), and the step below 2 * theta
+    "fb_min_smooth_weight_max": {**_fb_min(), "problem": {
+        "kind": "fb_min", "dims": [1], "functions": [ZERO],
+        "smooth": [{"kind": "sq_l2", "center": [2.0], "weight": 1.0e308}],
+        "grid": [[[[0.5]]]]}, "solver": {"stepsize": 1.0e-308,
+                                         "max_iterations": 5}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUIET))
+def test_finite_data_near_the_float_maximum_validates_quietly(
+        tmp_path, capsys, name):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(QUIET[name]))
+    assert main(["validate", str(cfg)]) == 0
+    assert capsys.readouterr() == ("config OK\n", "")
+    rc = parse_config(yaml.safe_dump(QUIET[name]))
+    assert execute_run(rc, out_dir=str(tmp_path / "out")) in (0, 2)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert all("error" not in e for e in report["per_seed"].values())

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blocksweep as bs
-from blocksweep import Schedule, SolverConfig
+from blocksweep import Schedule, SolverConfig, diagnostics, operators
 
 from conftest import (
     box_quadratic_m4,
     dr_1d,
     km_two_halfspaces,
     lasso_1d,
+    pd_1d,
     random_catalog_function,
 )
 
@@ -588,3 +589,52 @@ def test_a_replica_diverged_before_any_record_is_never_a_success():
         lambda s: (_diverged_at_once(s), 0.0), [0, 1, 2], threshold=1e-6)
     assert by_distance.metric == "distance"
     assert by_distance.success_fraction == 0.0
+
+
+def test_oracle_of_an_all_quadratic_fb_min_solves_the_assembled_system(
+        monkeypatch):
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((2, 2))
+    Qf, bf = a @ a.T + 0.5 * np.eye(2), rng.standard_normal(2)
+    c = rng.standard_normal(1)
+    fs = (bs.Quadratic(Qf, bf), bs.SquaredDistance(c, 1.5))
+    g = rng.standard_normal((2, 2))
+    Qg, bg, cg = g @ g.T, rng.standard_normal(2), rng.standard_normal(1)
+    smooth = (bs.SmoothTerm.squared_distance(cg, 0.8),
+              bs.SmoothTerm.quadratic(Qg, bg))
+    L = bs.LinearBlockOperator([[rng.standard_normal((1, 2)),
+                                 rng.standard_normal((1, 1))],
+                                [rng.standard_normal((2, 2)),
+                                 rng.standard_normal((2, 1))]])
+    problem = bs.CoupledMinProblem(fs, smooth, L)
+    # the direct solve, not the full-sweep fallback
+    monkeypatch.setattr(diagnostics, "_full_fb_reference", None)
+    ref = bs.oracle_reference(problem)
+    Lm = L.stacked
+    H = np.zeros((3, 3))
+    H[:2, :2], H[2, 2] = Qf, 1.5
+    Hg = np.zeros((3, 3))
+    Hg[0, 0], Hg[1:, 1:] = 0.8, Qg
+    H += Lm.T @ Hg @ Lm
+    rhs = -np.concatenate([bf, -1.5 * c])
+    rhs -= Lm.T @ np.concatenate([-0.8 * cg, bg])
+    assert np.allclose(ref.flat, np.linalg.solve(H, rhs), rtol=1e-12,
+                       atol=1e-12)
+
+
+def test_oracle_reference_reuses_the_problems_resolvent_sweeps(monkeypatch):
+    problems = [box_quadratic_m4()["problem"], dr_1d()["problem"],
+                pd_1d()["problem"], lasso_1d()["problem"]]
+    built = []
+    real = operators.SeparableSweep.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(operators.SeparableSweep, "__init__", counting)
+    refs = [bs.oracle_reference(p) for p in problems]
+    assert built == []
+    assert abs(refs[1].flat[0] - 1.0) <= 1e-10  # dr_1d
+    assert abs(refs[2].flat[0] - 1.0) <= 1e-10  # pd_1d
+    assert abs(refs[3].flat[0] - 0.5) <= 1e-10  # lasso_1d, by full sweep

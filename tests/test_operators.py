@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import blocksweep as bs
+from blocksweep import operators
 from blocksweep.operators import spectral_norm_psd
 
 from conftest import prox_numeric_oracle, random_catalog_function
@@ -410,3 +412,70 @@ def test_overflowing_operator_values_raise_non_finite_error():
     with pytest.raises(bs.NonFiniteError, match="must be finite"):
         bs.graph_projection(bs.GraphSubspace(L), big,
                             bs.construct(L.target_dims, [[1e308]]))
+
+
+# ---------------------------------------------------------------------------
+# smooth terms name their catalog function once
+# ---------------------------------------------------------------------------
+
+
+def test_smooth_rows_group_exactly_the_squared_distance_rows():
+    sq = bs.SmoothTerm.squared_distance(np.array([1.0, -1.0]), 2.0)
+    quad = bs.SmoothTerm.quadratic(np.array([[2.0]]), np.array([0.5]))
+    user = bs.SmoothTerm(1, lambda y: 3.0 * y, 3.0)
+    # a copy keeps its declared function, so its row is still grouped
+    copy = dataclasses.replace(
+        bs.SmoothTerm.squared_distance(np.array([0.5]), 1.5), lipschitz=2.0)
+    assert type(sq.fn) is bs.SquaredDistance and sq.fn.weight == 2.0
+    assert type(quad.fn) is bs.Quadratic and user.fn is None
+    assert type(copy.fn) is bs.SquaredDistance
+    grads = [sq, quad, user, copy]
+    rng = np.random.default_rng(11)
+    L = bs.LinearBlockOperator([[rng.standard_normal((g.dim, 2))]
+                                for g in grads])
+    rows = operators._SmoothRows(L, grads)
+    assert list(np.arange(4)[rows.group.ids]) == [0, 3]
+    assert rows.loose == [1, 2]
+    x = rng.standard_normal(2)
+    y = L.stacked @ x
+    per_row = np.concatenate([g.gradient(y[L.target_dims.slice(k)])
+                              for k, g in enumerate(grads)])
+    assert np.array_equal(rows.gradient(x), L.stacked.T @ per_row)
+
+
+def test_smooth_quadratic_of_a_zero_matrix():
+    g = bs.SmoothTerm.quadratic(np.zeros((2, 2)), np.array([1.0, -2.0]))
+    assert 0.0 < g.lipschitz <= 1e-30  # every constant bounds the zero map
+    assert type(g.fn) is bs.Quadratic
+    assert np.array_equal(g.gradient(np.array([5.0, 7.0])), [1.0, -2.0])
+    assert g.value(np.array([1.0, 1.0])) == -1.0
+
+
+def test_squared_distance_with_the_largest_weight_is_quiet():
+    # the term keeps its function and computes no product of its data
+    g = bs.SmoothTerm.squared_distance(np.array([2.0]), 1.0e308)
+    assert g.lipschitz == 1.0e308 and g.fn.center[0] == 2.0
+    assert np.array_equal(g.gradient(np.array([2.0])), [0.0])
+
+
+def test_symmetric_part_of_a_linear_monotone_near_the_max_is_quiet():
+    # 0.5 * (M + M.T) overflows here; the check reads 0.5 * M + 0.5 * M.T
+    op = bs.LinearMonotone(np.array([[1.0e308, 1.0e308], [-1.0e308, 1.0e308]]))
+    assert op.dim == 2
+    with pytest.raises(bs.ParameterError, match="not monotone"):
+        bs.LinearMonotone(np.array([[-1.0e308]]))
+
+
+@pytest.mark.parametrize("grid", [
+    [[np.array([[1.0e200]])]],
+    [[np.array([[1.0, 0.0]])], [np.array([[1.0e155, 1.0e155]])]],
+])
+def test_a_grid_row_whose_gram_overflows_is_rejected(grid):
+    L = bs.LinearBlockOperator(grid)
+    row = L.p - 1
+    message = f"image row {row} of the coupling grid overflows"
+    with pytest.raises(bs.ParameterError, match=message):
+        bs.cocoercivity_bound(L, [1.0] * L.p)
+    with pytest.raises(bs.ParameterError, match=message):
+        bs.assemble_pd_problem([bs.Zero(L.source_dims.dims[0])],
+                               [bs.Zero(d) for d in L.target_dims.dims], L)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import blocksweep as bs
 from blocksweep import Schedule, SolverConfig
+from blocksweep.cli import write_trace
 from blocksweep.solvers import as_schedule
 
 from conftest import box_quadratic_m4, dr_1d, lasso_1d, pd_1d
@@ -921,3 +922,21 @@ def test_pd_dr_overflow_in_the_graph_projector_is_a_divergence():
     assert trace.records == ()
     assert np.array_equal(trace.final.flat, [1e308, 1e308, 1e308])
     assert solution is None
+
+
+def test_fb_min_records_no_objective_when_a_smooth_term_has_no_value(
+        tmp_path):
+    # min 0.5 |x| + g(x) for the gradient y - 1 alone: x = 0.5
+    fs = [bs.L1Norm(1, weight=0.5)]
+    smooth = [bs.SmoothTerm(1, lambda y: y - 1.0, 1.0)]
+    L = bs.LinearBlockOperator([[np.array([[1.0]])]])
+    cfg = SolverConfig(sweeping=bs.single_block(1), relaxation=Schedule(0.9),
+                       stepsize=Schedule(1.0), tolerance=1e-10, seed=0)
+    trace = bs.run_fb_min(fs, smooth, L, cfg, bs.construct(bs.BlockDims([1])))
+    assert trace.termination == "tolerance"
+    assert abs(trace.final.flat[0] - 0.5) <= 1e-9
+    assert trace.records and all(r.objective is None for r in trace.records)
+    path = tmp_path / "trace.csv"
+    write_trace(trace, str(path))
+    rows = path.read_text().splitlines()[1:]
+    assert rows and all(row.endswith(",") for row in rows)  # objective
