@@ -140,6 +140,7 @@ from .solvers import (
     IterateTrace,
     KmProblem,
     SolverConfig,
+    _SLOT_STREAMS,
     _check_double_layer,
     _check_dr,
     _check_forward_backward,
@@ -163,7 +164,6 @@ __all__ = [
     "main",
 ]
 
-_ERROR_SLOTS = ("a", "b", "c", "d")
 # libyaml's parser when PyYAML was built with it; same resolver and
 # constructor as yaml.SafeLoader, so the same documents
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -489,16 +489,18 @@ _ERROR_MODELS = _Table("error", "kind", {
     "deterministic_decay": (_DECAY, lambda s: ErrorModel(**s)),
     "gaussian_decay": (_DECAY, lambda s: ErrorModel(**s)),
 })
-_ERRORS = {slot: (_spec_of(_ERROR_MODELS), _OMITTED) for slot in _ERROR_SLOTS}
+_ERRORS = {slot: (_spec_of(_ERROR_MODELS), _OMITTED)
+           for slot in _SLOT_STREAMS}
 
+# the driver settings default as SolverConfig does; gamma is the plans' own
 _SOLVER = {
-    "relaxation": (_schedule_node, 0.5),
-    "dr_relaxation": (_schedule_node, 1.0),
+    "relaxation": (_schedule_node, SolverConfig.relaxation.start),
+    "dr_relaxation": (_schedule_node, SolverConfig.dr_relaxation.start),
     "stepsize": (_schedule_node, _OMITTED),
     "gamma": (_float, 1.0),
-    "max_iterations": (_int, 100_000),
-    "tolerance": (_float, 1e-8),
-    "snapshot_stride": (_int, 10),
+    "max_iterations": (_int, SolverConfig.max_iterations),
+    "tolerance": (_float, SolverConfig.tolerance),
+    "snapshot_stride": (_int, SolverConfig.snapshot_stride),
 }
 
 
@@ -550,17 +552,6 @@ class RunConfig:
         plan.config = _build_solver_config(self, plan, self.seeds[0])
         plan.check(plan.config)
         return plan
-
-
-_INITIAL_KEYS = {
-    "km": ("x0",),
-    "averaged": ("x0",),
-    "double_layer": ("x0",),
-    "dr": ("x0",),
-    "pd_dr": ("x0", "y0"),
-    "fb": ("x0",),
-    "fb_min": ("x0",),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -756,9 +747,11 @@ def parse_config(text: str) -> RunConfig:
     initial = {}
     if doc.get("initial") is not None:
         init = _mapping(doc["initial"], "initial")
-        _allow_keys(init, _INITIAL_KEYS[problem["kind"]], "initial")
-        # each start is checked against its blocks by the plan: y0 lives
-        # on the image blocks, known once the grid is checked
+        # every driver starts from x0, and pd_dr also from y0; each start
+        # is checked against its blocks by the plan: y0 lives on the image
+        # blocks, known once the grid is checked
+        _allow_keys(init, ("x0", "y0") if problem["kind"] == "pd_dr"
+                    else ("x0",), "initial")
         initial = {key: _rows(value, f"initial.{key}")
                    for key, value in init.items()}
     reference = None

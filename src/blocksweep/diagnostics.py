@@ -397,49 +397,48 @@ def _check_oracle_scale(dims: BlockDims) -> None:
         )
 
 
-def _full_fb_reference(
-    resolvents: SeparableSweep,
-    B,
-    gamma: float,
-    max_iterations: int,
-    tol: float,
-) -> BlockVector:
+def _full_sweep(step: Callable[[int, BlockVector], tuple], x: BlockVector,
+                max_iterations: int, tol: float, name: str) -> BlockVector:
+    """Iterate ``step(n, x) -> (residual, answer, next_x)`` from ``x`` to
+    the answer of the first residual below ``tol``, quiet as the drivers'
+    loop: a diverging iterate raises at a finiteness check, not a warning.
+    """
+    with np.errstate(all="ignore"):
+        for n in range(max_iterations):
+            residual, answer, x = step(n, x)
+            if residual < tol:
+                return answer
+    raise OracleFailureError(
+        f"{name} reference did not reach {tol} in {max_iterations} iterations"
+    )
+
+
+def _full_fb_reference(resolvents: SeparableSweep, B, gamma: float,
+                       max_iterations: int, tol: float) -> BlockVector:
     dims = resolvents.dims
-    x = construct(dims)
-    for _ in range(max_iterations):
+
+    def step(n: int, x: BlockVector) -> tuple:
         arg = x
         if B is not None:
             arg = BlockVector._own(dims, x.flat - gamma * B.apply(x).flat)
         nxt = resolvents.apply(arg, gamma)
-        if distance(nxt, x) < tol:
-            return nxt
-        x = nxt
-    raise OracleFailureError(
-        f"full-sweep forward-backward reference did not reach {tol} in "
-        f"{max_iterations} iterations"
-    )
+        return distance(nxt, x), nxt, nxt
+
+    return _full_sweep(step, construct(dims), max_iterations, tol,
+                       "full-sweep forward-backward")
 
 
-def _full_dr_reference(
-    resolvents: SeparableSweep,
-    jb: Callable[[BlockVector], BlockVector],
-    gamma: float,
-    max_iterations: int,
-    tol: float,
-) -> BlockVector:
-    x = construct(resolvents.dims)
-    for _ in range(max_iterations):
+def _full_dr_reference(resolvents: SeparableSweep,
+                       jb: Callable[[BlockVector], BlockVector], gamma: float,
+                       max_iterations: int, tol: float) -> BlockVector:
+    def step(n: int, x: BlockVector) -> tuple:
         q = jb(x)
-        refl = combine(2.0, q, -1.0, x)
-        ja = resolvents.apply(refl, gamma)
-        residual = 2.0 * distance(ja, q)
-        if residual < tol:
-            return jb(x)
-        x = combine(1.0, x, 1.0, combine(1.0, ja, -1.0, q))
-    raise OracleFailureError(
-        f"full-mask splitting reference did not reach {tol} in "
-        f"{max_iterations} iterations"
-    )
+        ja = resolvents.apply(combine(2.0, q, -1.0, x), gamma)
+        return (2.0 * distance(ja, q), q,
+                combine(1.0, x, 1.0, combine(1.0, ja, -1.0, q)))
+
+    return _full_sweep(step, construct(resolvents.dims), max_iterations, tol,
+                       "full-mask splitting")
 
 
 def _quadratic_pieces(fn) -> tuple[np.ndarray, np.ndarray] | None:
@@ -517,16 +516,13 @@ def oracle_reference(
 
     if isinstance(problem, KmProblem):
         _check_oracle_scale(problem.family.dims)
-        x = problem.x0
-        for n in range(max_iterations):
+
+        def step(n: int, x: BlockVector) -> tuple:
             tx = problem.family.evaluate(n, x)
-            if distance(tx, x) < tol:
-                return x
-            x = combine(0.5, x, 0.5, tx)
-        raise OracleFailureError(
-            f"full-mask fixed point reference did not reach {tol} in "
-            f"{max_iterations} iterations"
-        )
+            return distance(tx, x), x, combine(0.5, x, 0.5, tx)
+
+        return _full_sweep(step, problem.x0, max_iterations, tol,
+                           "full-mask fixed point")
 
     raise CapabilityError(
         f"no reference route for {type(problem).__name__}"

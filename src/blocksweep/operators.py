@@ -798,23 +798,28 @@ def cocoercivity_bound(L: LinearBlockOperator, taus: Sequence[float]) -> float:
 
     Returns ``1 / sum_k tau_k * ||sum_i L_ki L_ki'||``, each spectral norm
     from one symmetric eigensolve.  Requires every target row of the grid to
-    be nonzero.
+    be nonzero.  Only a sum that overflows is summed again with the
+    ``tau_k`` scaled by their largest, so no positive constant reads 0.
     """
     if len(taus) != L.p:
         raise ShapeError(f"need {L.p} Lipschitz constants, got {len(taus)}")
     if not all(tau > 0 for tau in taus):
         raise ParameterError("Lipschitz constants must be > 0")
-    total = 0.0
-    for tau, gram in zip(taus, _row_grams(L)):
-        total += tau * spectral_norm_psd(gram)
-    return 1.0 / total
+    norms = [spectral_norm_psd(gram) for gram in _row_grams(L)]
+    for top in (1.0, max(taus)):
+        total = 0.0
+        for tau, norm in zip(taus, norms):
+            total += tau / top * norm
+        if not math.isinf(total):
+            break
+    return 1.0 / total / top
 
 
 def _row_grams(L: LinearBlockOperator) -> list[np.ndarray]:
     """``sum_i L_ki L_ki'`` for each image row ``k``, checked nonzero.
 
-    A row whose gram overflows is rejected here too, before the graph
-    projector or a cocoercivity constant reads it.
+    A row whose gram overflows is rejected here too, and so is a grid whose
+    squared entries overflow, so ``I + L'L`` and ``I + LL'`` are finite.
     """
     with np.errstate(over="ignore"):
         grams = [L.row_gram(k) for k in range(L.p)]
@@ -828,6 +833,9 @@ def _row_grams(L: LinearBlockOperator) -> list[np.ndarray]:
             raise ParameterError(
                 f"image row {k} of the coupling grid overflows: the sum of "
                 "its squared entries is not finite")
+    if math.isinf(sum(traces)):
+        raise ParameterError("the coupling grid overflows: the sum of its "
+                             "squared entries is not finite")
     return grams
 
 
@@ -1123,8 +1131,13 @@ def forward_step_family(B: CocoerciveOperator | None, gamma,
             lambda n, x: x)
 
     gamma, grad = as_schedule(gamma), B._flat
+    # one division per end: 1 / (2 theta) overflows for a tiny theta
+    two_theta = 2.0 * B.theta
+    averaging = Schedule(gamma.start / two_theta,
+                         None if gamma.end is None else gamma.end / two_theta,
+                         gamma.ramp)
     return _family(B.dims, lambda n, x: x - gamma.at(n) * grad(x), "averaged",
-                   gamma.scaled(1.0 / (2.0 * B.theta)))
+                   averaging)
 
 
 def affine_family(

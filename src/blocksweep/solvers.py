@@ -13,8 +13,8 @@ stepsize or gamma column) and its ``step(n, x, mask, relax, state)`` updates
 the active blocks only.  The relaxed drivers share one measure/step pair
 (``_km``), the splitting drivers another (``_splitting``).  Each driver
 checks its cheap preconditions in one ``_check_*`` function, which the CLI
-also calls when it parses a config; the loop itself compares no
-``BlockDims``.
+also calls when it parses a config and which calls ``_check_run``; the
+loop itself compares no ``BlockDims``.
 
 The loop works on flat float64 arrays: the iterate, error draws, targets,
 reflections, distances, the masked update and every operator value.  It
@@ -266,18 +266,19 @@ class PdDrProblem:
     """Primal-dual splitting data over the paired space.
 
     Primal blocks carry the ``A_i``, image blocks the ``B_k``, and the
-    linear grid couples them through its graph subspace.  ``resolvents``,
-    the sweep of the resolvents over all ``m + p`` blocks, is built once
-    here and reused by every run.
+    linear grid couples them through its graph subspace ``V``.  ``V`` and
+    ``resolvents``, the sweep of the resolvents over all ``m + p`` blocks,
+    are built once here and reused by every run.
     """
 
     h_ops: tuple[MonotoneOperator, ...]
     g_ops: tuple[MonotoneOperator, ...]
     L: LinearBlockOperator
-    V: GraphSubspace
+    V: GraphSubspace = field(init=False, repr=False, compare=False)
     resolvents: SeparableSweep = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "V", GraphSubspace(self.L))
         object.__setattr__(self, "resolvents",
                            SeparableSweep(self.k_ops, "resolvent"))
         object.__setattr__(self, "_k_dims", self.h_dims.concat(self.g_dims))
@@ -388,13 +389,18 @@ def _require(cond: bool, message: str) -> None:
         raise ParameterError(message)
 
 
-def _check_slots(cfg: SolverConfig, allowed: tuple[str, ...],
-                 driver: str) -> None:
-    extra = sorted(set(cfg.errors) - set(allowed))
+def _check_run(cfg: SolverConfig, m: int, slots: tuple[str, ...],
+               driver: str, primal_dims: BlockDims) -> None:
+    """The rules of every run: mask size, error slots, reference blocks."""
+    if cfg.sweeping.m != m:
+        raise ShapeError(f"{driver}: sweeping rule covers {cfg.sweeping.m} "
+                         f"blocks, iteration has {m}")
+    extra = sorted(set(cfg.errors) - set(slots))
     if extra:
         raise ParameterError(
-            f"{driver} supports error slots {list(allowed)}, got {extra}"
-        )
+            f"{driver} supports error slots {list(slots)}, got {extra}")
+    if cfg.reference is not None and cfg.reference.dims != primal_dims:
+        raise ShapeError("reference must live on the primal blocks")
 
 
 def _check_relaxation(cfg: SolverConfig, driver: str) -> None:
@@ -402,14 +408,6 @@ def _check_relaxation(cfg: SolverConfig, driver: str) -> None:
     _require(lo > 0 and hi <= 1,
              f"{driver} requires lambda_n in ]0, 1] with inf lambda_n > 0, "
              f"got bounds [{lo}, {hi}]")
-
-
-def _check_rule(rule: SweepingRule, m: int, context: str) -> None:
-    if rule.m != m:
-        raise ShapeError(
-            f"{context}: sweeping rule covers {rule.m} blocks, iteration "
-            f"has {m}"
-        )
 
 
 def _error_sampler(
@@ -641,8 +639,7 @@ def _check_single_layer(T: BlockOperatorFamily, cfg: SolverConfig,
     """The preconditions of ``run_single_layer``, also checked at parse."""
     if x0.dims != T.dims:
         raise ShapeError("starting point does not match the operator family")
-    _check_rule(cfg.sweeping, T.dims.m, "single-layer driver")
-    _check_slots(cfg, ("a",), "single-layer driver")
+    _check_run(cfg, T.dims.m, ("a",), "single-layer driver", T.dims)
     lo, hi = cfg.relaxation.bounds()
     if T.regularity == "averaged":
         alo, ahi = T.averaging.bounds()
@@ -711,8 +708,7 @@ def _check_double_layer(T: BlockOperatorFamily, R: BlockOperatorFamily,
     """The preconditions of ``run_double_layer``, also checked at parse."""
     if x0.dims != T.dims or x0.dims != R.dims:
         raise ShapeError("starting point does not match the operator families")
-    _check_rule(cfg.sweeping, T.dims.m, "double-layer driver")
-    _check_slots(cfg, ("a", "b"), "double-layer driver")
+    _check_run(cfg, T.dims.m, ("a", "b"), "double-layer driver", T.dims)
     _require(T.regularity == "averaged",
              "double-layer driver needs an averaged outer family")
     _require(R.regularity == "averaged",
@@ -802,8 +798,7 @@ def _check_dr(A: SeparableSweep, gamma: float, cfg: SolverConfig,
     """The preconditions of ``run_dr``, also checked at parse."""
     dims = x0.dims
     _check_terms(A.dims.dims, dims, "operator", "blockwise operators")
-    _check_rule(cfg.sweeping, dims.m, "splitting driver")
-    _check_slots(cfg, ("a", "b"), "splitting driver")
+    _check_run(cfg, dims.m, ("a", "b"), "splitting driver", dims)
     _check_splitting(gamma, cfg)
 
 
@@ -838,7 +833,7 @@ def assemble_pd_problem(
     _check_terms(tuple(op.dim for op in h_ops), L.source_dims, "primal term")
     _check_terms(tuple(op.dim for op in g_ops), L.target_dims, "dual term")
     _row_grams(L)
-    return PdDrProblem(h_ops, g_ops, L, GraphSubspace(L))
+    return PdDrProblem(h_ops, g_ops, L)
 
 
 def run_pd_dr(
@@ -889,11 +884,9 @@ def _check_pd_dr(problem: PdDrProblem, gamma: float, cfg: SolverConfig,
         raise ShapeError("x0 must live on the primal blocks")
     if y0 is not None and y0.dims != g:
         raise ShapeError("y0 must live on the image blocks")
-    _check_rule(cfg.sweeping, problem.k_dims.m, "primal-dual driver")
-    _check_slots(cfg, ("a", "b", "c", "d"), "primal-dual driver")
+    _check_run(cfg, problem.k_dims.m, ("a", "b", "c", "d"),
+               "primal-dual driver", h)
     _check_splitting(gamma, cfg)
-    if cfg.reference is not None and cfg.reference.dims != h:
-        raise ShapeError("reference must live on the primal blocks")
 
 
 # ---------------------------------------------------------------------------
@@ -965,8 +958,7 @@ def _check_forward_backward(A: SeparableSweep, B: CocoerciveOperator | None,
     _check_terms(A.dims.dims, dims, "operator", "blockwise operators")
     if B is not None and B.dims != dims:
         raise ShapeError("forward operator dims do not match the iterate")
-    _check_rule(cfg.sweeping, dims.m, "forward-backward driver")
-    _check_slots(cfg, ("a", "c"), "forward-backward driver")
+    _check_run(cfg, dims.m, ("a", "c"), "forward-backward driver", dims)
     gamma = cfg.stepsize
     if gamma is None:
         raise ParameterError("forward-backward needs a stepsize schedule")

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -789,3 +790,54 @@ def test_main_oracle_on_a_pd_dr_config(tmp_path, capsys):
     assert trace.termination == "tolerance"
     assert np.allclose(solution.primal.flat, np.ravel(blocks), rtol=0.0,
                        atol=1e-9)
+
+
+# affine 3*I from 1e300: the first full-mask step overflows
+OVERFLOWING_KM = """
+problem:
+  kind: km
+  dims: [1]
+  operator: {type: affine, matrix: [[3.0]]}
+sweeping: {scheme: single_block}
+seeds: [0]
+initial: {x0: [[1.0e+300]]}
+"""
+
+
+def test_main_oracle_on_an_overflowing_run_is_quiet(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(OVERFLOWING_KM)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["oracle", str(cfg_path)]) == 1
+    assert capsys.readouterr() == ("",
+                                   "error: block entries must be finite\n")
+
+
+def test_main_oracle_past_the_dimension_limit(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(MINIMAL_KM.replace("dims: [1]", "dims: [201]")
+                        .replace("operator: {type: affine, matrix: [[0.5]]}",
+                                 "operator: {type: identity}")
+                        .replace("initial: {x0: [[8.0]]}\n", ""))
+    assert main(["oracle", str(cfg_path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: reference solutions support total dim <= 200\n")
+
+
+def test_main_rejects_seeds_that_are_not_integers(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(MINIMAL_KM)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--seeds", "x",
+                 "--out", str(out_dir)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: --seeds must be comma-separated integers\n")
+    assert not out_dir.exists()
+
+
+def test_main_on_a_config_that_does_not_exist(tmp_path, capsys):
+    missing = tmp_path / "missing.yaml"
+    assert main(["validate", str(missing)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 2] No such file or directory: '{missing}'\n")

@@ -77,6 +77,7 @@ def _fb(stepsize):
 
 
 HUGE = [[[[1.0e200]], [[1.0e200]]]]  # finite, but its row gram is not
+COLUMNS_HUGE = [[[[1.0e154]]], [[[1.0e154]]]]  # two image rows, one column
 NO_RAMP = {"start": 0.5, "end": 0.25}
 RAMP_0 = {"start": 0.5, "end": 0.25, "ramp": 0}
 LONG = [[1.0, 2.0], [3.0]]  # block 0 one entry too long
@@ -127,6 +128,33 @@ REJECTED = {
     "forward_step_grid_overflow": _km({"type": "forward_step",
                                        "smooth": [SMOOTH], "grid": HUGE,
                                        "stepsize": 0.5}),
+    # each row gram is finite, I + L'L is not
+    "pd_dr_grid_columns_overflow": {**_pd_dr(), "problem": {
+        "kind": "pd_dr", "dims": [1], "functions": [ZERO],
+        "duals": [SMOOTH, SMOOTH], "grid": COLUMNS_HUGE}},
+    "dr_coupling_not_full_space": {**_dr(), "problem": {
+        "kind": "dr", "dims": [1, 1], "blocks": [ZERO, ZERO],
+        "coupling": {"type": "linear", "matrix": [[1.0]]}}},
+    "fb_forward_not_full_space": {**_fb(0.5), "problem": {
+        "kind": "fb", "dims": [1, 1], "blocks": [ZERO, ZERO],
+        "forward": {"type": "linear", "matrix": [[1.0]]}}},
+    "fb_forward_zero": {**_fb(0.5), "problem": {
+        "kind": "fb", "dims": [1], "blocks": [ZERO],
+        "forward": {"type": "linear", "matrix": [[0.0]]}}},
+    "regularity_not_a_string": _affine(regularity=5),
+}
+
+# the messages of the entries above whose rule no other test names
+MESSAGES = {
+    "pd_dr_grid_columns_overflow": "the coupling grid overflows: the sum of "
+                                   "its squared entries is not finite",
+    "dr_coupling_not_full_space": "coupling matrix must act on the full "
+                                  "space",
+    "fb_forward_not_full_space": "forward.matrix must act on the full space",
+    "fb_forward_zero": "forward.matrix must be nonzero; use forward type "
+                       "none instead",
+    "regularity_not_a_string": "problem.operator.regularity: expected a "
+                               "string, got 5",
 }
 
 
@@ -166,6 +194,14 @@ def test_a_grid_row_that_overflows_is_named(tmp_path, capsys, name):
     assert capsys.readouterr().err == (
         "invalid config: image row 0 of the coupling grid overflows: the sum "
         "of its squared entries is not finite\n")
+
+
+@pytest.mark.parametrize("name", sorted(MESSAGES))
+def test_a_broken_value_is_named(tmp_path, capsys, name):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(REJECTED[name]))
+    assert main(["validate", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"invalid config: {MESSAGES[name]}\n")
 
 
 @pytest.mark.parametrize("reference,message", [
@@ -300,6 +336,13 @@ QUIET = {
         "kind": "fb_min", "dims": [1], "functions": [ZERO],
         "smooth": [{"kind": "sq_l2", "center": [2.0], "weight": 1.0e308}],
         "grid": [[[[0.5]]]]}, "solver": {"stepsize": 1.0e-308,
+                                         "max_iterations": 5}},
+    # theta = 1 / (1e308 * 4), about 2.5e-309, and gamma / (2 * theta)
+    # is 0.02 though 1 / (2 * theta) overflows
+    "fb_min_theta_below_min_normal": {**_fb_min(), "problem": {
+        "kind": "fb_min", "dims": [1], "functions": [ZERO],
+        "smooth": [{"kind": "sq_l2", "center": [2.0], "weight": 1.0e308}],
+        "grid": [[[[2.0]]]]}, "solver": {"stepsize": 1.0e-310,
                                          "max_iterations": 5}},
 }
 

@@ -940,3 +940,49 @@ def test_fb_min_records_no_objective_when_a_smooth_term_has_no_value(
     write_trace(trace, str(path))
     rows = path.read_text().splitlines()[1:]
     assert rows and all(row.endswith(",") for row in rows)  # objective
+
+
+# ---------------------------------------------------------------------------
+# the run rules every driver checks
+# ---------------------------------------------------------------------------
+
+
+def _drivers_on_two_blocks():
+    """One call per driver on dims [1, 1], each taking a SolverConfig."""
+    dims = bs.BlockDims([1, 1])
+    x0 = bs.construct(dims)
+    zeros = [bs.Zero(1), bs.Zero(1)]
+    A = [bs.Subdifferential(f) for f in zeros]
+    prox = bs.prox_family(zeros, 1.0)
+    L = bs.LinearBlockOperator([[np.eye(1), np.eye(1)]])
+    smooth = [bs.SmoothTerm.squared_distance(np.array([1.0]))]
+    return {
+        "single_layer": lambda cfg: bs.run_single_layer(
+            bs.affine_family(dims, 0.5 * np.eye(2)), cfg, x0),
+        "double_layer": lambda cfg: bs.run_double_layer(prox, prox, cfg, x0),
+        "dr": lambda cfg: bs.run_dr(A, lambda v: v, 1.0, cfg, x0),
+        "fb": lambda cfg: bs.run_fb(A, None, cfg, x0),
+        "fb_min": lambda cfg: bs.run_fb_min(zeros, smooth, L, cfg, x0),
+    }
+
+
+@pytest.mark.parametrize("driver", sorted(_drivers_on_two_blocks()))
+@pytest.mark.parametrize("ref_dims", [[1, 1, 1], [2]], ids=["3_blocks", "2"])
+def test_every_driver_checks_the_reference_blocks(driver, ref_dims):
+    run = _drivers_on_two_blocks()[driver]
+    kw = dict(stepsize=Schedule(0.5), max_iterations=5)
+    run(cfg_for(2, **kw))  # the host runs with no reference
+    bad = bs.construct(bs.BlockDims(ref_dims))
+    with pytest.raises(bs.ShapeError,
+                       match="^reference must live on the primal blocks$"):
+        run(cfg_for(2, reference=bad, **kw))
+
+
+def test_pd_dr_derives_its_graph_subspace_from_the_grid():
+    L = bs.LinearBlockOperator([[np.eye(1), 2.0 * np.eye(1)]])
+    problem = bs.assemble_pd_problem([bs.Zero(1), bs.Zero(1)],
+                                     [bs.Zero(1)], L)
+    assert isinstance(problem.V, bs.GraphSubspace)
+    assert problem.V.operator is L
+    with pytest.raises(TypeError):
+        bs.PdDrProblem(problem.h_ops, problem.g_ops, L, problem.V)
