@@ -37,12 +37,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .operators import (
-    BlockOperatorFamily,
-    MonotoneOperator,
-    SeparableSweep,
-    Subdifferential,
-)
+from .operators import BlockOperatorFamily, SeparableSweep, _sweep_map
 from .solvers import (
     CoupledMinProblem,
     DrProblem,
@@ -293,81 +288,71 @@ class InclusionReport(NamedTuple):
     dual_res: float | None
 
 
-def _membership_residual(op: MonotoneOperator, point: np.ndarray,
-                         value: np.ndarray, gamma: float) -> float:
-    """Distance surrogate for ``value in op(point)``.
+def _gaps(sweep, point: np.ndarray, value: np.ndarray,
+          gamma: float) -> list[float]:
+    """``||p_i - J_{gamma A_i}(p_i + gamma v_i)||`` for each block ``i``.
 
-    Uses the resolvent characterization
-    ``value in op(point)  iff  point = J_{gamma op}(point + gamma value)``.
+    By the resolvent characterization a block's gap is 0 exactly when
+    ``v_i in A_i p_i``.  Each difference is a fresh array: a dot on a slice
+    that starts unaligned may round differently.
     """
-    j = op.resolvent(point + gamma * value, gamma)
-    return float(np.linalg.norm(point - j))
+    j = _sweep_map(sweep)(point + gamma * value, gamma)
+    off = sweep.dims.offsets
+    return [float(np.linalg.norm(point[a:b] - j[a:b]))
+            for a, b in zip(off, off[1:])]
 
 
-def _blockwise_fixed_point_residual(
-    A: Sequence[MonotoneOperator],
-    x: BlockVector,
-    bx: BlockVector,
-    gamma: float,
-) -> float:
+def _root_sum_sq(gaps: Sequence[float]) -> float:
     total = 0.0
-    for i, op in enumerate(A):
-        xi = x.block(i)
-        j = op.resolvent(xi - gamma * bx.block(i), gamma)
-        total += float(np.linalg.norm(xi - j)) ** 2
+    for g in gaps:  # left to right: ``sum`` compensates from Python 3.12 on
+        total += g ** 2
     return math.sqrt(total)
 
 
 def inclusion_residual(problem, candidate) -> InclusionReport:
     """Nonnegative residuals that vanish exactly at solutions.
 
-    Set memberships for subdifferentials are measured through the proximal
-    fixed point characterization, so no explicit subdifferential sets are
-    formed.  ``candidate`` is a point on the primal blocks or a primal-dual
-    pair; dual residuals are only reported for pairs.
+    Every blockwise membership is measured through the resolvent
+    characterization by one pass of the problem's own sweep,
+    ``problem.resolvents``, so no explicit subdifferential sets are formed.
+    ``candidate`` is a point on the primal blocks or a primal-dual pair; its
+    blocks are checked against the problem's before any sweep, and dual
+    residuals are only reported for pairs.
     """
     primal = candidate.primal if isinstance(candidate, PrimalDualSolution) else candidate
     dual = candidate.dual if isinstance(candidate, PrimalDualSolution) else None
-
     if isinstance(problem, PdDrProblem):
         if dual is None:
             raise CapabilityError(
                 "linearly coupled inclusions need a primal-dual pair"
             )
-        gamma = 1.0
-        if primal.dims != problem.h_dims or dual.dims != problem.g_dims:
-            raise ShapeError("candidate does not match the problem blocks")
-        pullback = problem.L.adjoint(dual)
-        res_a_sq = 0.0
-        for i, op in enumerate(problem.h_ops):
-            res_a_sq += _membership_residual(
-                op, primal.block(i), -pullback.block(i), gamma
-            ) ** 2
-        image = problem.L.apply(primal)
-        res_b_sq = 0.0
-        for k, op in enumerate(problem.g_ops):
-            res_b_sq += _membership_residual(
-                op, image.block(k), dual.block(k), gamma
-            ) ** 2
-        return InclusionReport(math.sqrt(res_a_sq), math.sqrt(res_b_sq))
-
-    if isinstance(problem, CoupledMinProblem):
-        A, B = [Subdifferential(f) for f in problem.fs], problem.forward()
-        gamma = 1.0
-    elif isinstance(problem, FbProblem):
-        A, B, gamma = list(problem.A), problem.B, 1.0
-    elif isinstance(problem, DrProblem):
-        A, B, gamma = list(problem.A), problem.B_forward, problem.gamma
+        dims = problem.h_dims, problem.g_dims
+    elif isinstance(problem, (FbProblem, DrProblem, CoupledMinProblem)):
+        dims = (problem.resolvents.dims,) * 2
     else:
         raise CapabilityError(
             "inclusion residuals are not available for "
             f"{type(problem).__name__}")
+    if primal.dims != dims[0] or (dual is not None and dual.dims != dims[1]):
+        raise ShapeError("candidate does not match the problem blocks")
+    sweep = problem.resolvents
+
+    if isinstance(problem, PdDrProblem):
+        # x_i with -(L'y)_i, then (Lx)_k with y_k, in one sweep
+        image, pullback = problem.L.apply(primal), problem.L.adjoint(dual)
+        gaps = _gaps(sweep, np.concatenate((primal.flat, image.flat)),
+                     np.concatenate((-pullback.flat, dual.flat)), 1.0)
+        m = primal.dims.m
+        return InclusionReport(_root_sum_sq(gaps[:m]), _root_sum_sq(gaps[m:]))
+    if isinstance(problem, CoupledMinProblem):
+        B, gamma = problem.forward(), 1.0
+    elif isinstance(problem, FbProblem):
+        B, gamma = problem.B, 1.0
+    else:
+        B, gamma = problem.B_forward, problem.gamma
 
     if dual is not None:
-        res_a = max(
-            _membership_residual(A[i], primal.block(i), -dual.block(i), gamma)
-            for i in range(primal.dims.m)
-        )
+        res_a = max(_gaps(sweep, primal.flat, -dual.flat, gamma))
     if isinstance(problem, DrProblem) and B is None:
         if dual is None:
             raise CapabilityError(
@@ -377,11 +362,11 @@ def inclusion_residual(problem, candidate) -> InclusionReport:
         # without a forward evaluation both residuals measure the pair
         res_b = distance(primal, problem.JB(combine(1.0, primal, gamma, dual)))
         return InclusionReport(max(res_a, res_b), max(res_a, res_b))
-    bx = B.apply(primal) if B is not None else construct(primal.dims)
-    primal_res = _blockwise_fixed_point_residual(A, primal, bx, gamma)
+    bx = B.apply(primal).flat if B is not None else np.zeros(primal.dims.total)
+    primal_res = _root_sum_sq(_gaps(sweep, primal.flat, -bx, gamma))
     if dual is None:
         return InclusionReport(primal_res, None)
-    res_b = float(np.linalg.norm(bx.flat - dual.flat))
+    res_b = float(np.linalg.norm(bx - dual.flat))
     return InclusionReport(primal_res, max(res_a, res_b))
 
 

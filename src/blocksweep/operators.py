@@ -799,7 +799,8 @@ def cocoercivity_bound(L: LinearBlockOperator, taus: Sequence[float]) -> float:
     Returns ``1 / sum_k tau_k * ||sum_i L_ki L_ki'||``, each spectral norm
     from one symmetric eigensolve.  Requires every target row of the grid to
     be nonzero.  Only a sum that overflows is summed again with the
-    ``tau_k`` scaled by their largest, so no positive constant reads 0.
+    ``tau_k`` scaled by their largest, so no positive constant reads 0; a
+    sum so small that its reciprocal is not finite is rejected.
     """
     if len(taus) != L.p:
         raise ShapeError(f"need {L.p} Lipschitz constants, got {len(taus)}")
@@ -812,7 +813,11 @@ def cocoercivity_bound(L: LinearBlockOperator, taus: Sequence[float]) -> float:
             total += tau / top * norm
         if not math.isinf(total):
             break
-    return 1.0 / total / top
+    theta = 1.0 / total / top if total else math.inf
+    if math.isinf(theta):
+        raise ParameterError(
+            f"cocoercivity constant must be finite, got 1 / {total!r}")
+    return theta
 
 
 def _row_grams(L: LinearBlockOperator) -> list[np.ndarray]:

@@ -318,10 +318,10 @@ class CoupledMinProblem:
     """Minimize ``sum_i f_i(x_i) + sum_k g_k(sum_i L_ki x_i)``.
 
     Everything a run reuses is built once here: the coupling gradient with
-    its cocoercivity constant (``forward()``), ``resolvents``, the sweep of
-    the resolvents of the subdifferentials of the ``f_i``, and the prox
-    sweep that evaluates the objective.  The ``f_i`` must match the source
-    blocks of the grid.
+    its cocoercivity constant (``forward()``) and ``resolvents``, the prox
+    sweep of the ``f_i``, which maps the resolvents of their
+    subdifferentials and evaluates the objective.  The ``f_i`` must match
+    the source blocks of the grid.
     """
 
     fs: tuple[ProxFunction, ...]
@@ -334,10 +334,9 @@ class CoupledMinProblem:
         rows = _SmoothRows(self.L, self.smooth)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_forward", _coupling_operator(rows))
-        object.__setattr__(self, "resolvents", SeparableSweep(
-            [Subdifferential(f) for f in self.fs], "resolvent"))
-        object.__setattr__(self, "_values", _sweep_values(
-            SeparableSweep(self.fs, "prox")))
+        object.__setattr__(self, "resolvents",
+                           SeparableSweep(self.fs, "prox"))
+        object.__setattr__(self, "_values", _sweep_values(self.resolvents))
 
     @property
     def dims(self) -> BlockDims:

@@ -76,6 +76,13 @@ def _fb(stepsize):
             "sweeping": {"scheme": "single_block"}, "seeds": [0]}
 
 
+def _tiny_fb_min(entry):
+    """An ``fb_min`` config whose smooth weight and grid entry are tiny."""
+    return {**_fb_min(), "problem": {
+        "kind": "fb_min", "dims": [1], "functions": [ZERO],
+        "smooth": [{**SMOOTH, "weight": 1.0e-300}], "grid": [[[[entry]]]]}}
+
+
 HUGE = [[[[1.0e200]], [[1.0e200]]]]  # finite, but its row gram is not
 COLUMNS_HUGE = [[[[1.0e154]]], [[[1.0e154]]]]  # two image rows, one column
 NO_RAMP = {"start": 0.5, "end": 0.25}
@@ -142,6 +149,10 @@ REJECTED = {
         "kind": "fb", "dims": [1], "blocks": [ZERO],
         "forward": {"type": "linear", "matrix": [[0.0]]}}},
     "regularity_not_a_string": _affine(regularity=5),
+    # tau * ||L L'|| = 1e-340 underflows to 0, and 1e-320 has no finite
+    # reciprocal
+    "fb_min_cocoercivity_sum_underflow": _tiny_fb_min(1.0e-20),
+    "fb_min_cocoercivity_overflow": _tiny_fb_min(1.0e-10),
 }
 
 # the messages of the entries above whose rule no other test names
@@ -155,6 +166,10 @@ MESSAGES = {
                        "none instead",
     "regularity_not_a_string": "problem.operator.regularity: expected a "
                                "string, got 5",
+    "fb_min_cocoercivity_sum_underflow": "cocoercivity constant must be "
+                                         "finite, got 1 / 0.0",
+    "fb_min_cocoercivity_overflow": "cocoercivity constant must be finite, "
+                                    "got 1 / 1e-320",
 }
 
 

@@ -117,3 +117,72 @@ def test_the_corpus_covers_every_kind_scheme_slot_and_ending():
     assert {0, 2**32 - 1} <= seeds
     assert endings == {"tolerance", "max_iterations", "diverged"}
     assert len(CASES) >= 60
+
+
+# the float fallback, run on the stored files with EXACT forced off; a move
+# of ``rel`` is relative above 1 and absolute below, where the fallback's
+# absolute tolerance takes over
+def _moved(value, rel):
+    return value + rel * max(abs(value), 1.0)
+
+
+def _move_trace(text, rel):
+    """``text`` with its largest finite float field moved by ``rel``."""
+    rows = [line.split(",") for line in text.splitlines()]
+    cols = [rows[0].index(c) for c in FLOAT_COLUMNS]
+    j, c = max(((j, c) for j in range(1, len(rows)) for c in cols
+                if rows[j][c] and math.isfinite(float(rows[j][c]))),
+               key=lambda jc: abs(float(rows[jc[0]][jc[1]])))
+    rows[j][c] = repr(_moved(float(rows[j][c]), rel))
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+def _floats(tree, path=()):
+    """``(|v|, path)`` of every finite float in a JSON tree."""
+    if isinstance(tree, (dict, list)):
+        items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+        for key, value in items:
+            yield from _floats(value, path + (key,))
+    elif isinstance(tree, float) and math.isfinite(tree):
+        yield abs(tree), path
+
+
+def _move_json(text, rel):
+    """``text`` with its largest finite float moved by ``rel``."""
+    tree = json.loads(text)
+    _, path = max(_floats(tree))
+    node = tree
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = _moved(node[path[-1]], rel)
+    return json.dumps(tree, indent=2)
+
+
+def _flip_mask_bit(text):
+    """``text`` with the first activation bit of its first row flipped."""
+    lines = text.splitlines()
+    row = lines[1].split(",")
+    col = lines[0].split(",").index("active_mask")
+    row[col] = ("1" if row[col][:1] == "0" else "0") + row[col][1:]
+    return "\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n"
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_the_float_fallback_takes_rounding_and_rejects_real_moves(
+        monkeypatch, name):
+    monkeypatch.setitem(globals(), "EXACT", False)
+    case = os.path.join(make.CASES_DIR, name)
+    for file in sorted(os.listdir(case)):
+        want = _read(os.path.join(case, file))
+        if not file.endswith((".csv", ".json")) or file == "status.json":
+            continue
+        move = _move_trace if file.endswith(".csv") else _move_json
+        # a real move: 100 times the file's tolerance
+        far = 1e-7 if file == "oracle.json" else 1e-10
+        assert _same(file, want, want), file
+        if file.endswith(".csv") and len(want.splitlines()) < 2:
+            continue  # a run that diverged before its first record
+        assert _same(file, move(want, 1e-14), want), file
+        assert not _same(file, move(want, far), want), file
+        if file.endswith(".csv"):
+            assert not _same(file, _flip_mask_bit(want), want), file

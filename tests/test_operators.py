@@ -346,6 +346,16 @@ def test_regularity_quasi_requires_fixed_point():
     assert report.violations == 0
 
 
+def test_regularity_quasi_counts_a_false_claim():
+    # x -> 2x fixes 0 but moves every other point away from it
+    d = bs.BlockDims([1, 2])
+    T = bs.affine_family(d, 2.0 * np.eye(3), regularity="quasinonexpansive",
+                         fixed_points=[bs.construct(d)])
+    report = bs.regularity_test(T, "quasinonexpansive", sample_count=50)
+    assert report.violations == report.samples == 50
+    assert report.worst_slack > 0
+
+
 def test_family_validation():
     d = bs.BlockDims([1])
     with pytest.raises(bs.ParameterError):
