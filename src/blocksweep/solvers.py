@@ -25,12 +25,17 @@ callable that takes or returns one (a family built from an ``evaluate``
 alone, ``run_dr``'s coupled resolvent, a forward operator or objective
 given as a plain callable), and for the snapshots and the final point.
 Every family's value, the reflected point and the resolvent sweep of the
-splitting drivers, the graph projection, every value perturbed by an error
-draw and every new iterate are checked to be finite, and a
-``NonFiniteError`` from any of them ends the run with
+splitting drivers, the graph projection, the double layer's perturbed
+input ``R_n x + b_n`` (with ``run_fb``'s scaled ``c`` draw) and every new
+iterate are checked to be finite.  The other perturbed values, ``_km``'s
+``target + a_n`` and ``_splitting``'s ``z + b_n`` with its second
+resolvent sweep, are not scanned themselves: they reach the iterate only
+through its active blocks, and the new iterate is scanned.  A
+``NonFiniteError`` from any check ends the run with
 ``termination="diverged"``: the trace keeps the completed iterations and
 ``final`` is the last finite iterate.  The loop runs under one
-``np.errstate`` that keeps the overflow warnings of a diverging run quiet.
+``np.errstate`` that keeps the overflow warnings of a diverging run quiet,
+and so does the splitting drivers' solution at the final point.
 Masks and error draws come from ``sweeping``'s chunk-seeded twins of
 ``sample_mask`` and ``sample_error``, which make the same draws.
 
@@ -68,7 +73,6 @@ from .blockspace import (
     _finite,
     _masked_flat,
     _norm,
-    combine,
 )
 from .errors import NonFiniteError, ParameterError, ShapeError
 from .operators import (
@@ -266,7 +270,9 @@ class PdDrProblem:
     """Primal-dual splitting data over the paired space.
 
     Primal blocks carry the ``A_i``, image blocks the ``B_k``, and the
-    linear grid couples them through its graph subspace ``V``.  ``V`` and
+    linear grid couples them through its graph subspace ``V``.  The terms
+    must match the source and target blocks of the grid, and every image
+    row of the grid must carry a nonzero operator.  ``V`` and
     ``resolvents``, the sweep of the resolvents over all ``m + p`` blocks,
     are built once here and reused by every run.
     """
@@ -278,6 +284,11 @@ class PdDrProblem:
     resolvents: SeparableSweep = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_terms(tuple(op.dim for op in self.h_ops), self.h_dims,
+                     "primal term")
+        _check_terms(tuple(op.dim for op in self.g_ops), self.g_dims,
+                     "dual term")
+        _row_grams(self.L)
         object.__setattr__(self, "V", GraphSubspace(self.L))
         object.__setattr__(self, "resolvents",
                            SeparableSweep(self.k_ops, "resolvent"))
@@ -410,33 +421,28 @@ def _check_relaxation(cfg: SolverConfig, driver: str) -> None:
 
 
 def _error_sampler(
-    cfg: SolverConfig, slot: str, dims: BlockDims
+    cfg: SolverConfig, *parts: tuple[str, BlockDims]
 ) -> Callable[[int], np.ndarray] | None:
-    """The slot's error draws as flat arrays, or None when it is error-free."""
-    model = cfg.errors.get(slot)
-    if model is None or model.kind == "none":
-        return None
-    return _error_draws(model, dims.total, cfg.seed, _SLOT_STREAMS[slot],
-                        cfg.max_iterations)
+    """The error draws of the ``(slot, dims)`` parts as flat arrays.
 
-
-def _paired_error_sampler(
-    cfg: SolverConfig,
-    slot_first: str,
-    slot_second: str,
-    first_dims: BlockDims,
-    second_dims: BlockDims,
-) -> Callable[[int], np.ndarray] | None:
-    """Concatenate two slot samplers over a paired space."""
-    first = _error_sampler(cfg, slot_first, first_dims)
-    second = _error_sampler(cfg, slot_second, second_dims)
-    if first is None and second is None:
+    None when every slot is error-free.  A single part's sampler is returned
+    as it is; several are concatenated, an error-free slot as zeros.
+    """
+    samplers = []
+    for slot, dims in parts:
+        model = cfg.errors.get(slot)
+        samplers.append(None if model is None or model.kind == "none" else
+                        _error_draws(model, dims.total, cfg.seed,
+                                     _SLOT_STREAMS[slot], cfg.max_iterations))
+    if len(samplers) == 1:
+        return samplers[0]
+    if all(s is None for s in samplers):
         return None
+    sizes = [dims.total for _, dims in parts]
 
     def sample(n: int) -> np.ndarray:
-        f = first(n) if first else np.zeros(first_dims.total)
-        s = second(n) if second else np.zeros(second_dims.total)
-        return np.concatenate([f, s])
+        return np.concatenate([s(n) if s else np.zeros(size)
+                               for s, size in zip(samplers, sizes)])
 
     return sample
 
@@ -540,24 +546,6 @@ def _flat_objective(
     return lambda x: objective_fn(BlockVector._own(dims, x))
 
 
-def _final_solution(
-    trace: IterateTrace, solution: Callable[[], PrimalDualSolution]
-) -> PrimalDualSolution | None:
-    """The splitting drivers' solution at ``trace.final``.
-
-    A diverged run's last finite iterate may have a coupled resolvent that
-    is not finite; its solution is then None, with the overflow warnings
-    kept quiet as in the loop.
-    """
-    if trace.termination != "diverged":
-        return solution()
-    with np.errstate(all="ignore"):
-        try:
-            return solution()
-        except NonFiniteError:
-            return None
-
-
 def _splitting(
     cfg: SolverConfig,
     x0: BlockVector,
@@ -566,9 +554,10 @@ def _splitting(
     gamma: float,
     sampler_a: Callable[[int], np.ndarray] | None,
     sampler_b: Callable[[int], np.ndarray] | None,
-    primal: Callable[[np.ndarray], np.ndarray],
-) -> IterateTrace:
-    """The splitting step of ``run_dr`` and ``run_pd_dr``.
+    split: int,
+    solution: Callable[[np.ndarray, np.ndarray], PrimalDualSolution],
+) -> tuple[IterateTrace, PrimalDualSolution | None]:
+    """The splitting loop of ``run_dr`` and ``run_pd_dr``, and its solution.
 
     ``jb`` maps the flat iterate to the coupled resolvent there.  The
     shadow state ``z = jb(x) + b_n`` is read only on the active blocks,
@@ -576,8 +565,12 @@ def _splitting(
     iterations.  ``measure`` sweeps the resolvents of the ``A_i`` at the
     reflection ``2 jb(x) - x`` for the residual, and ``step`` reuses that
     sweep; only a ``b_n`` draw makes it form ``z`` over the whole vector and
-    sweep again at ``2z - x``.  The distance to the reference is measured at
-    ``primal(jb(x))``.
+    sweep again at ``2z - x``.  The distance to the reference is measured on
+    the first ``split`` entries of ``jb(x)``, the primal blocks.
+
+    Whatever the termination, the run ends with ``solution(x, jb(x))`` at
+    the final point, quiet as the loop is; it is None when that raises
+    ``NonFiniteError``.
     """
     offsets = x0.dims.offsets
     ref = cfg.reference.flat if cfg.reference is not None else None
@@ -587,7 +580,7 @@ def _splitting(
         q = jb(x)
         ja = _finite(resolvents(_finite(2.0 * q - x), gamma))
         return (2.0 * _norm(ja - q), gamma,
-                _norm(primal(q) - ref) if ref is not None else None,
+                _norm(q[:split] - ref) if ref is not None else None,
                 None, (q, ja))
 
     def step(n: int, x: np.ndarray, mask, mu: float, state) -> np.ndarray:
@@ -605,7 +598,13 @@ def _splitting(
             out[sl] = x[sl] + mu * delta
         return out
 
-    return _engine(cfg, x0, cfg.dr_relaxation, measure, step)
+    trace = _engine(cfg, x0, cfg.dr_relaxation, measure, step)
+    x = trace.final.flat
+    with np.errstate(all="ignore"):
+        try:
+            return trace, solution(x, jb(x))
+        except NonFiniteError:
+            return trace, None
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +629,7 @@ def run_single_layer(
     update itself is unchanged.
     """
     _check_single_layer(T, cfg, x0)
-    return _km(cfg, x0, T._flat, _error_sampler(cfg, "a", T.dims))
+    return _km(cfg, x0, T._flat, _error_sampler(cfg, ("a", T.dims)))
 
 
 def _check_single_layer(T: BlockOperatorFamily, cfg: SolverConfig,
@@ -676,7 +675,7 @@ def run_double_layer(
     from zero.  ``stepsize_for_trace`` only fills the trace stepsize column.
     """
     _check_double_layer(T, R, cfg, x0)
-    return _double_layer(T, R, cfg, x0, _error_sampler(cfg, "b", R.dims),
+    return _double_layer(T, R, cfg, x0, _error_sampler(cfg, ("b", R.dims)),
                          None, stepsize_for_trace)
 
 
@@ -698,7 +697,7 @@ def _double_layer(
             y = _finite(y + sampler_b(n))
         return outer(n, y)
 
-    return _km(cfg, x0, target_fn, _error_sampler(cfg, "a", T.dims),
+    return _km(cfg, x0, target_fn, _error_sampler(cfg, ("a", T.dims)),
                objective_fn, stepsize)
 
 
@@ -766,8 +765,9 @@ def run_dr(
     on the full vector and sliced.
 
     Returns the trace of the governing sequence together with the primal
-    point ``z = JB(x_final)`` and the dual point ``(x_final - z) / gamma``;
-    the solution is None when the run diverged and ``z`` is not finite.
+    point ``z = JB(x_final)`` and the dual point ``(x_final - z) / gamma``.
+    Whatever the termination, the solution is None when the coupled
+    resolvent at the final point, or the dual point, is not finite.
     ``A`` may also be the resolvent ``SeparableSweep`` of the operators
     (``DrProblem.resolvents``); it is then used as is.
     """
@@ -777,19 +777,16 @@ def run_dr(
     _check_dr(A, gamma, cfg, x0)
     if check_resolvent:
         _spot_check_resolvent(JB, dims)
-    trace = _splitting(
+
+    def solution(x: np.ndarray, z: np.ndarray) -> PrimalDualSolution:
+        dual = (1.0 / gamma) * x + (-1.0 / gamma) * z
+        return PrimalDualSolution(primal=BlockVector._own(dims, z),
+                                  dual=BlockVector._own(dims, dual))
+
+    return _splitting(
         cfg, x0, A, lambda v: _data(JB(BlockVector._own(dims, v)), dims.total),
-        gamma,
-        _error_sampler(cfg, "a", dims), _error_sampler(cfg, "b", dims),
-        lambda q: q,
-    )
-
-    def solution() -> PrimalDualSolution:
-        z = JB(trace.final)
-        u = combine(1.0 / gamma, trace.final, -1.0 / gamma, z)
-        return PrimalDualSolution(primal=z, dual=u)
-
-    return trace, _final_solution(trace, solution)
+        gamma, _error_sampler(cfg, ("a", dims)),
+        _error_sampler(cfg, ("b", dims)), dims.total, solution)
 
 
 def _check_dr(A: SeparableSweep, gamma: float, cfg: SolverConfig,
@@ -813,8 +810,8 @@ def assemble_pd_problem(
 ) -> PdDrProblem:
     """Package a linearly coupled primal-dual problem.
 
-    Proximal functions are wrapped as subdifferentials.  Every image row of
-    the grid must carry a nonzero operator.
+    Proximal functions are wrapped as subdifferentials; ``PdDrProblem``
+    checks the terms against the grid and its rows.
     """
     if not isinstance(L, LinearBlockOperator):
         L = LinearBlockOperator(L)
@@ -827,12 +824,8 @@ def assemble_pd_problem(
         raise ShapeError(f"expected a function or monotone operator, got "
                          f"{type(term).__name__}")
 
-    h_ops = tuple(wrap(t) for t in primal_terms)
-    g_ops = tuple(wrap(t) for t in dual_terms)
-    _check_terms(tuple(op.dim for op in h_ops), L.source_dims, "primal term")
-    _check_terms(tuple(op.dim for op in g_ops), L.target_dims, "dual term")
-    _row_grams(L)
-    return PdDrProblem(h_ops, g_ops, L)
+    return PdDrProblem(tuple(wrap(t) for t in primal_terms),
+                       tuple(wrap(t) for t in dual_terms), L)
 
 
 def run_pd_dr(
@@ -850,29 +843,25 @@ def run_pd_dr(
     resolvent is the graph projector.  The shadow states track the projector
     refresh of the governing state, so the reported primal point is the
     primal part of the final refresh and the reported dual point is
-    ``(w - y_final) / gamma`` with ``w`` its image part.  The solution is
-    None when the run diverged and that refresh is not finite.
+    ``(w - y_final) / gamma`` with ``w`` its image part.  Whatever the
+    termination, the solution is None when that refresh (the coupled
+    resolvent at the final point) or the dual point is not finite.
     """
     h, g, k = problem.h_dims, problem.g_dims, problem.k_dims
     _check_pd_dr(problem, gamma, cfg, x0, y0)
     y0 = y0 if y0 is not None else problem.L.apply(x0)
     split = h.total
-    trace = _splitting(
-        cfg, BlockVector._own(k, np.concatenate([x0.flat, y0.flat])),
-        problem.resolvents, problem._project_flat, gamma,
-        _paired_error_sampler(cfg, "a", "b", h, g),
-        _paired_error_sampler(cfg, "c", "d", h, g),
-        lambda q: q[:split],
-    )
 
-    def solution() -> PrimalDualSolution:
-        x = trace.final.flat
-        zw = problem._project_flat(x)
+    def solution(x: np.ndarray, zw: np.ndarray) -> PrimalDualSolution:
         dual = (1.0 / gamma) * zw[split:] + (-1.0 / gamma) * x[split:]
         return PrimalDualSolution(primal=BlockVector._own(h, zw[:split]),
                                   dual=BlockVector._own(g, dual))
 
-    return trace, _final_solution(trace, solution)
+    return _splitting(
+        cfg, BlockVector._own(k, np.concatenate([x0.flat, y0.flat])),
+        problem.resolvents, problem._project_flat, gamma,
+        _error_sampler(cfg, ("a", h), ("b", g)),
+        _error_sampler(cfg, ("c", h), ("d", g)), split, solution)
 
 
 def _check_pd_dr(problem: PdDrProblem, gamma: float, cfg: SolverConfig,
@@ -940,7 +929,7 @@ def run_fb(
     gamma = cfg.stepsize
     T = resolvent_family(A, gamma)
     R = forward_step_family(B, gamma, dims)
-    sampler_c = _error_sampler(cfg, "c", dims)
+    sampler_c = _error_sampler(cfg, ("c", dims))
     sampler_b = None
     if sampler_c is not None:
         # the forward perturbation c enters through the step as -gamma_n * c

@@ -630,6 +630,18 @@ initial: {x0: [[1.0], [1.0]]}
 """
 
 
+PD_DR_HUGE_DUAL_CENTRE = """
+problem:
+  kind: pd_dr
+  dims: [1]
+  functions: [{kind: zero, dim: 1}]
+  duals: [{kind: sq_l2, center: [1.0e+308]}]
+  grid: [[[[1.0]]]]
+sweeping: {scheme: single_block}
+seeds: [0]
+"""
+
+
 def _reject_constant(name):
     raise ValueError(f"report.json holds {name}, which is not JSON")
 
@@ -737,6 +749,24 @@ def test_a_diverged_seed_counts_the_iteration_it_diverged_at(tmp_path):
     report = json.loads((tmp_path / "at_once" / "report.json").read_text())
     assert report["per_seed"]["0"]["termination"] == "diverged"
     assert report["per_seed"]["0"]["iterations"] == 0
+
+
+def test_a_capped_pd_dr_seed_whose_final_projection_overflows_is_an_outcome(
+        tmp_path, capsys):
+    # every measured iterate is finite, the projection at the final one is
+    # not: the seed ends at its cap with no error and no overflow warning
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(PD_DR_HUGE_DUAL_CENTRE)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out_dir),
+                 "--max-iter", "10"]) == 2
+    assert capsys.readouterr().err == ""
+    report = json.loads((out_dir / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    seed = report["per_seed"]["0"]
+    assert seed["termination"] == "max_iterations" and "error" not in seed
+    rows = (out_dir / "trace_seed0.csv").read_text().splitlines()
+    assert len(rows) == 11  # the header and 10 iterations
 
 
 def test_a_seed_diverged_before_any_record_reports_no_residual(tmp_path):

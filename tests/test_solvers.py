@@ -924,6 +924,64 @@ def test_pd_dr_overflow_in_the_graph_projector_is_a_divergence():
     assert solution is None
 
 
+def test_a_capped_pd_dr_run_whose_final_projection_overflows_has_no_solution():
+    # a dual centre of 1e308 keeps every measured iterate finite for 10
+    # iterations, but the graph projection at the final point overflows:
+    # the run ends at its cap and the solution is None, quietly
+    problem = bs.assemble_pd_problem([bs.Zero(1)],
+                                     [bs.SquaredDistance([1e308])],
+                                     [[np.array([[1.0]])]])
+    cfg = cfg_for(2, max_iterations=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning escapes
+        trace, solution = bs.run_pd_dr(problem, 1.0, cfg,
+                                       bs.construct(problem.h_dims))
+    assert trace.termination == "max_iterations"
+    assert len(trace.records) == trace.iterations == 10
+    assert solution is None
+
+
+def test_a_capped_dr_run_whose_final_resolvent_is_not_finite_has_no_solution():
+    d = bs.BlockDims([1])
+    calls = []
+
+    def JB(v):
+        calls.append(v)
+        if len(calls) <= 3:  # the three measured points of the run
+            return bs.BlockVector(d, 0.5 * v.flat)  # the resolvent of I
+        return bs.BlockVector(d, [np.inf])  # raises NonFiniteError
+
+    A = [bs.Subdifferential(bs.Zero(1))]
+    trace, solution = bs.run_dr(A, JB, 1.0, cfg_for(1, max_iterations=3),
+                                bs.construct(d, [[1.0]]),
+                                check_resolvent=False)
+    assert trace.termination == "max_iterations"
+    assert len(calls) == 4 and calls[-1] == trace.final
+    assert solution is None
+
+
+def test_pd_dr_problem_checks_its_terms_and_grid_rows():
+    def sub(f):
+        return bs.Subdifferential(f)
+
+    L = bs.LinearBlockOperator([[np.array([[1.0, 0.0]])]])
+    with pytest.raises(bs.ShapeError,
+                       match="^primal term 0 has dim 1, expected 2$"):
+        bs.PdDrProblem((sub(bs.L1Norm(1)),),
+                       (sub(bs.SquaredDistance([0.0])),), L)
+    with pytest.raises(bs.ShapeError,
+                       match="^dual term 0 has dim 2, expected 1$"):
+        bs.PdDrProblem((sub(bs.L1Norm(2)),), (sub(bs.Zero(2)),), L)
+    zero_row = bs.LinearBlockOperator([[np.array([[1.0]])],
+                                       [np.array([[0.0]])]])
+    with pytest.raises(bs.ParameterError,
+                       match="^image row 1 of the coupling grid is zero"):
+        bs.PdDrProblem((sub(bs.Zero(1)),),
+                       (sub(bs.Zero(1)), sub(bs.Zero(1))), zero_row)
+    problem = bs.PdDrProblem((sub(bs.L1Norm(2)),), (sub(bs.Zero(1)),), L)
+    assert problem.k_dims.dims == (2, 1)
+
+
 def test_fb_min_records_no_objective_when_a_smooth_term_has_no_value(
         tmp_path):
     # min 0.5 |x| + g(x) for the gradient y - 1 alone: x = 0.5
