@@ -20,7 +20,6 @@ from .blockspace import (
     BlockVector,
     _check_terms,
     _finite,
-    _norm,
     _vec,
 )
 from .errors import (
@@ -824,7 +823,7 @@ def _row_grams(L: LinearBlockOperator) -> list[np.ndarray]:
     """``sum_i L_ki L_ki'`` for each image row ``k``, checked nonzero.
 
     A row whose gram overflows is rejected here too, and so is a grid whose
-    squared entries overflow, so ``I + L'L`` and ``I + LL'`` are finite.
+    squared entries overflow, so ``I + L'L`` is finite.
     """
     with np.errstate(over="ignore"):
         grams = [L.row_gram(k) for k in range(L.p)]
@@ -888,10 +887,10 @@ def _coupling_operator(rows: _SmoothRows) -> CocoerciveOperator:
 
 
 class GraphSubspace:
-    """Projector onto ``{(x, y) : Lx = y}`` with cached factorizations.
+    """Projector onto ``{(x, y) : Lx = y}`` with one cached factorization.
 
-    Both normal systems ``I + L'L`` and ``I + LL'`` are symmetric positive
-    definite; they are factorized once and reused for every projection.
+    ``I + L'L`` is factorized once here, and each projection is one solve
+    with it; a grid for which it overflows raises ``ParameterError``.
     """
 
     def __init__(self, operator: LinearBlockOperator):
@@ -901,18 +900,21 @@ class GraphSubspace:
 
         self.operator = operator
         L = operator.stacked
-        h, g = operator.source_dims.total, operator.target_dims.total
+        with np.errstate(over="ignore"):
+            normal = np.eye(operator.source_dims.total) + L.T @ L
+        if not np.isfinite(normal).all():
+            raise ParameterError("the coupling grid overflows: the sum of its "
+                                 "squared entries is not finite")
         try:
-            self._h_factor = cho_factor(np.eye(h) + L.T @ L)
-            self._g_factor = cho_factor(np.eye(g) + L @ L.T)
+            self._factor = cho_factor(normal)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded
             raise NumericError(f"graph subspace factorization failed: {exc}") from exc
         # looked up once: cho_solve looks it up and checks its inputs per call
-        self._potrs, = get_lapack_funcs(("potrs",), (self._h_factor[0],))
+        self._potrs, = get_lapack_funcs(("potrs",), (self._factor[0],))
 
-    def _solve(self, factor, rhs: np.ndarray) -> np.ndarray:
-        """``cho_solve(factor, rhs)`` without its per-call checks."""
-        c, lower = factor
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``cho_solve(self._factor, rhs)`` without its per-call checks."""
+        c, lower = self._factor
         x, info = self._potrs(c, rhs, lower=lower)
         if info != 0:  # pragma: no cover - only for an illegal argument
             raise NumericError(f"potrs failed with info {info}")
@@ -924,41 +926,34 @@ def graph_projection(
 ) -> tuple[BlockVector, BlockVector]:
     """Orthogonal projection of ``(x, y)`` onto the graph subspace.
 
-    Computes ``t = (I + L'L)^{-1}(x + L'y)`` and returns ``(t, Lt)``.  In
-    debug mode the equivalent route through ``s = (I + LL')^{-1}(Lx - y)``,
-    giving ``(x - L's, y + s)``, is asserted to agree.
+    Computes ``t = (I + L'L)^{-1}(x + L'y)`` with one solve and returns
+    ``(t, Lt)``, read-only views of one new array.  The route through
+    ``s = (I + LL')^{-1}(Lx - y)``, giving ``(x - L's, y + s)``, is checked
+    by the tests, on every iterate of random ``pd_dr`` runs.
     """
     op = V.operator
     if x.dims != op.source_dims or y.dims != op.target_dims:
         raise ShapeError("projection input dims do not match the subspace")
-    t, lt = _graph_projection_flat(V, x.flat, y.flat)
-    return (BlockVector._own(op.source_dims, t),
-            BlockVector._own(op.target_dims, lt))
+    ty = _graph_projection_flat(V, x.flat, y.flat)
+    h = op.source_dims.total
+    return (BlockVector._own(op.source_dims, ty[:h]),
+            BlockVector._own(op.target_dims, ty[h:]))
 
 
 def _graph_projection_flat(
     V: GraphSubspace, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``graph_projection`` on flat arrays: new arrays ``(t, Lt)``.
+) -> np.ndarray:
+    """``graph_projection`` on flat arrays: one new array ``[t; Lt]``.
 
-    Raises ``NonFiniteError`` when ``t`` or ``Lt`` is not finite, before the
-    debug check could compare routes that overflowed.  The norms of the
-    check are ``_norm``: what ``np.linalg.norm`` computes for a 1-D float64
-    array whenever that is finite, and finite for every finite input.
+    ``t`` comes from the one solve, ``Lt`` is written into the tail, and one
+    scan raises ``NonFiniteError`` when either is not finite.
     """
     L = V.operator.stacked
-    t = V._solve(V._h_factor, x + L.T @ y)
-    lt = L @ t
-    _finite(t)
-    _finite(lt)
-    if __debug__:
-        s = V._solve(V._g_factor, L @ x - y)
-        dt = t - (x - L.T @ s)
-        dlt = lt - (y + s)
-        scale = 1.0 + _norm(x) + _norm(y)
-        gap = math.hypot(_norm(dt), _norm(dlt))
-        assert gap <= 1e-9 * scale, f"projector routes disagree by {gap:.3e}"
-    return t, lt
+    h = x.shape[0]
+    ty = np.empty(h + y.shape[0])
+    ty[:h] = V._solve(x + L.T @ y)
+    np.matmul(L, ty[:h], out=ty[h:])
+    return _finite(ty)
 
 
 # ---------------------------------------------------------------------------

@@ -320,8 +320,7 @@ class PdDrProblem:
     def _project_flat(self, v: np.ndarray) -> np.ndarray:
         """``project`` on a flat paired array, a new array."""
         split = self.h_dims.total
-        return np.concatenate(_graph_projection_flat(self.V, v[:split],
-                                                     v[split:]))
+        return _graph_projection_flat(self.V, v[:split], v[split:])
 
 
 @dataclass(frozen=True)

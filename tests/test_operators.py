@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -422,6 +423,24 @@ def test_overflowing_operator_values_raise_non_finite_error():
     with pytest.raises(bs.NonFiniteError, match="must be finite"):
         bs.graph_projection(bs.GraphSubspace(L), big,
                             bs.construct(L.target_dims, [[1e308]]))
+
+
+def test_graph_subspace_rejects_an_overflowing_grid_quietly():
+    # two image rows over one primal block: each row's gram is finite, but
+    # I + L'L is not
+    L = bs.LinearBlockOperator([[np.array([[1e154]])],
+                                [np.array([[1e154]])]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bs.ParameterError,
+                           match="the coupling grid overflows"):
+            bs.GraphSubspace(L)
+    # a zero grid still builds: its graph is {(x, 0)}
+    Z = bs.LinearBlockOperator([[np.zeros((1, 2))]])
+    t, lt = bs.graph_projection(
+        bs.GraphSubspace(Z), bs.construct(Z.source_dims, [[1.0, -2.0]]),
+        bs.construct(Z.target_dims, [[3.0]]))
+    assert t.flat.tolist() == [1.0, -2.0] and lt.flat.tolist() == [0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -879,6 +879,40 @@ def test_paired_projector_is_the_graph_projection_joined():
         problem.project(bs.BlockVector(bs.BlockDims([k.total]), v.flat))
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), scheme=st.sampled_from(sorted(SPLIT_RULES)),
+       scale=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_pd_dr_projections_agree_with_the_dual_route(data, scheme, scale,
+                                                     seed):
+    # the projector solves with I + L'L only; on every iterate of a real
+    # run its [t; Lt] must match the route through s = (I + LL')^{-1}(Lx - y),
+    # which gives (x - L's, y + s)
+    hdims = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    gdims = data.draw(st.lists(st.integers(1, 3), min_size=1,
+                               max_size=6 - len(hdims)))
+    rng = np.random.default_rng(seed)
+    L = bs.LinearBlockOperator([[scale * rng.standard_normal((gk, hi))
+                                 for hi in hdims] for gk in gdims])
+    problem = bs.assemble_pd_problem(
+        [bs.L1Norm(dim, 0.3) for dim in hdims],
+        [bs.SquaredDistance(rng.standard_normal(dim)) for dim in gdims], L)
+    h, k = problem.h_dims.total, problem.k_dims
+    cfg = SolverConfig(sweeping=SPLIT_RULES[scheme](k.m), seed=seed,
+                       max_iterations=8, tolerance=0.0, snapshot_stride=1)
+    trace, _ = bs.run_pd_dr(
+        problem, 0.7, cfg,
+        bs.BlockVector(problem.h_dims, rng.standard_normal(h)))
+    A = L.stacked
+    xs = trace.snapshots()
+    assert len(xs) == 9
+    for v in xs:
+        x, y = v.flat[:h], v.flat[h:]
+        s = np.linalg.solve(np.eye(len(y)) + A @ A.T, A @ x - y)
+        route = np.concatenate([x - A.T @ s, y + s])
+        gap = np.linalg.norm(problem.project(v).flat - route)
+        assert gap <= 1e-9 * (1.0 + np.linalg.norm(x) + np.linalg.norm(y))
+
+
 # ---------------------------------------------------------------------------
 # divergence
 # ---------------------------------------------------------------------------
