@@ -25,8 +25,8 @@ from .blockspace import (
     WeightedNormSpec,
     _check_same_dims,
     _finite,
+    _norm,
     combine,
-    construct,
     distance,
     reduce,
 )
@@ -37,7 +37,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .operators import BlockOperatorFamily, SeparableSweep, _sweep_map
+from .operators import BlockOperatorFamily, SeparableSweep, _data, _sweep_map
 from .solvers import (
     CoupledMinProblem,
     DrProblem,
@@ -64,6 +64,8 @@ __all__ = [
 ]
 
 _EXPECTED_SLACK_BLOCK_LIMIT = 10
+# patterns selected per np.where: its m-by-chunk float terms stay near 2.5 MB
+_EXPANSION_CHUNK = 1 << 14
 _ORACLE_DIM_LIMIT = 200
 
 
@@ -153,11 +155,13 @@ def _expected_weighted_sq(
     Under a mask, block ``i`` of the candidate minus ``ref`` is either
     ``x_i - ref_i`` or ``cand_i - ref_i``, so its weighted term
     ``||b||^2 / w_i`` takes one of two values.  Both are computed once per
-    block, and each pattern's norm is a selection over the K-by-m bit array:
-    one O(K*m) numpy pass instead of K masked updates.  The candidate, the
-    differences and the block dots are computed as ``masked_update``,
-    ``combine`` and ``reduce`` compute them, and every sum runs left to
-    right, so the result equals their per-pattern loop bit for bit.
+    block, and each pattern's norm is a selection over the law's block-major
+    m-by-K bit array: one ``np.where`` per chunk of patterns, whose m rows
+    are then added in place in block order, instead of K masked updates.
+    The candidate, the differences and the block dots are computed as
+    ``masked_update``, ``combine`` and ``reduce`` compute them, and every
+    sum runs left to right, so the result equals their per-pattern loop bit
+    for bit.
     """
     bits, probs = law.bits, law.probabilities
     _check_same_dims(x, target)
@@ -171,12 +175,22 @@ def _expected_weighted_sq(
     _finite(inactive)
     _finite(active)
     off = x.dims.offsets
-    norms = None
+    on_terms, off_terms = [], []
     for i, w in enumerate(weights.weights):
         a = inactive[off[i]:off[i + 1]]
         b = active[off[i]:off[i + 1]]
-        term = np.where(bits[:, i], float(b @ b) / w, float(a @ a) / w)
-        norms = term if norms is None else norms + term
+        on_terms.append(float(b @ b) / w)
+        off_terms.append(float(a @ a) / w)
+    on_terms, off_terms = np.array([on_terms]).T, np.array([off_terms]).T
+    # the bits are 0/1 bytes, so their bool view is the pattern
+    on = bits.T.view(np.bool_)
+    norms = np.empty(probs.size)
+    for c in range(0, probs.size, _EXPANSION_CHUNK):
+        terms = np.where(on[:, c:c + _EXPANSION_CHUNK], on_terms, off_terms)
+        total = terms[0]
+        for row in terms[1:]:
+            total += row
+        norms[c:c + _EXPANSION_CHUNK] = total
     # a running total in support order: np.sum would add pairwise
     return float(np.add.accumulate(probs * norms)[-1])
 
@@ -195,10 +209,13 @@ def expected_fejer_check(
     error-free run of a quasinonexpansive family and a fixed point ``z``
     every entry is nonpositive up to floating point.
 
-    The law is built once per call; each stored step then costs one
-    evaluation of ``T`` and one O(K*m) numpy pass over the K patterns,
-    not K masked updates, with results equal bit for bit to that loop.
+    The rule must cover the family's blocks.  Its law is built once per
+    rule and kept on it (see ``mask_law``); each stored step then costs one
+    evaluation of ``T`` and one O(K*m) numpy pass over the K patterns, not
+    K masked updates, with results equal bit for bit to that loop.
     """
+    if rule.m != T.dims.m:
+        raise ShapeError("rule must cover the same number of blocks")
     if rule.m > _EXPECTED_SLACK_BLOCK_LIMIT:
         raise CapacityError(
             f"expected-slack expansion supports m <= "
@@ -252,13 +269,14 @@ def expectation_identity_check(
     Both are pure algebra for any operator and any points, so the absolute
     errors are floating-point small.  The left sides are enumerations over
     the law's support, each one O(K*m) numpy pass rather than K masked
-    updates; the right sides use the marginals alone.
+    updates; the right sides use the marginals alone.  The rule must cover
+    the family's blocks; its law is built once per rule and kept on it.
     """
     if x.dims != T.dims or z.dims != T.dims:
         raise ShapeError("points must match the operator family dims")
-    law = mask_law(rule)
-    if rule.m != x.dims.m:
+    if rule.m != T.dims.m:
         raise ShapeError("rule must cover the same number of blocks")
+    law = mask_law(rule)
     weights = WeightedNormSpec(law.marginals)
     tx = T.evaluate(iteration, x)
     lhs_target = _expected_weighted_sq(law, weights, x, tx, 1.0, z)
@@ -382,11 +400,15 @@ def _check_oracle_scale(dims: BlockDims) -> None:
         )
 
 
-def _full_sweep(step: Callable[[int, BlockVector], tuple], x: BlockVector,
-                max_iterations: int, tol: float, name: str) -> BlockVector:
-    """Iterate ``step(n, x) -> (residual, answer, next_x)`` from ``x`` to
-    the answer of the first residual below ``tol``, quiet as the drivers'
-    loop: a diverging iterate raises at a finiteness check, not a warning.
+def _full_sweep(step: Callable[[int, np.ndarray], tuple], x: np.ndarray,
+                max_iterations: int, tol: float, name: str) -> np.ndarray:
+    """Iterate ``step(n, x) -> (residual, answer, next_x)`` on flat float64
+    arrays from ``x`` to the answer of the first residual below ``tol``.
+
+    Each step calls the array cores the drivers call (a family's ``_flat``,
+    the sweep's map, ``B._flat``, the graph projection, a user resolvent
+    through ``run_dr``'s adapter) and checks its new arrays finite, so a
+    diverging iterate raises ``NonFiniteError``, quiet as the drivers' loop.
     """
     with np.errstate(all="ignore"):
         for n in range(max_iterations):
@@ -401,29 +423,38 @@ def _full_sweep(step: Callable[[int, BlockVector], tuple], x: BlockVector,
 def _full_fb_reference(resolvents: SeparableSweep, B, gamma: float,
                        max_iterations: int, tol: float) -> BlockVector:
     dims = resolvents.dims
+    sweep = _sweep_map(resolvents)
+    forward = B._flat if B is not None else None
 
-    def step(n: int, x: BlockVector) -> tuple:
-        arg = x
-        if B is not None:
-            arg = BlockVector._own(dims, x.flat - gamma * B.apply(x).flat)
-        nxt = resolvents.apply(arg, gamma)
-        return distance(nxt, x), nxt, nxt
+    def step(n: int, x: np.ndarray) -> tuple:
+        # ``B._flat`` may be unchecked: ``x - gamma B(x)`` is not finite
+        # whenever ``B(x)`` is not
+        arg = x if forward is None else _finite(x - gamma * forward(x))
+        nxt = _finite(sweep(arg, gamma))
+        return _norm(nxt - x), nxt, nxt
 
-    return _full_sweep(step, construct(dims), max_iterations, tol,
-                       "full-sweep forward-backward")
+    return BlockVector._own(dims, _full_sweep(
+        step, np.zeros(dims.total), max_iterations, tol,
+        "full-sweep forward-backward"))
 
 
 def _full_dr_reference(resolvents: SeparableSweep,
-                       jb: Callable[[BlockVector], BlockVector], gamma: float,
-                       max_iterations: int, tol: float) -> BlockVector:
-    def step(n: int, x: BlockVector) -> tuple:
-        q = jb(x)
-        ja = resolvents.apply(combine(2.0, q, -1.0, x), gamma)
-        return (2.0 * distance(ja, q), q,
-                combine(1.0, x, 1.0, combine(1.0, ja, -1.0, q)))
+                       jb: Callable[[np.ndarray], np.ndarray], gamma: float,
+                       max_iterations: int, tol: float) -> np.ndarray:
+    """The full-mask splitting iteration; ``jb`` maps flat arrays and
+    returns its value checked finite."""
+    sweep = _sweep_map(resolvents)
 
-    return _full_sweep(step, construct(resolvents.dims), max_iterations, tol,
-                       "full-mask splitting")
+    def step(n: int, x: np.ndarray) -> tuple:
+        q = jb(x)
+        ja = _finite(sweep(_finite(2.0 * q + -1.0 * x), gamma))
+        # ``ja - q`` overflows only to an infinity, which ``x + (ja - q)``
+        # keeps, so one scan of the new iterate raises for both
+        return (2.0 * _norm(ja - q), q,
+                _finite(1.0 * x + 1.0 * (1.0 * ja + -1.0 * q)))
+
+    return _full_sweep(step, np.zeros(resolvents.dims.total), max_iterations,
+                       tol, "full-mask splitting")
 
 
 def _quadratic_pieces(fn) -> tuple[np.ndarray, np.ndarray] | None:
@@ -452,6 +483,10 @@ def oracle_reference(
     problems whose terms are all quadratic are solved directly by linear
     algebra.  Raises when the budget is exhausted before the target
     residual, so a failed reference is reported rather than faked.
+
+    The sweeps run on flat arrays through the drivers' array cores, dims
+    are checked once up front (a ``KmProblem``'s ``x0`` against its
+    family) and only the answer is wrapped; see ``_full_sweep``.
     """
     if isinstance(problem, CoupledMinProblem):
         _check_oracle_scale(problem.dims)
@@ -490,24 +525,33 @@ def oracle_reference(
 
     if isinstance(problem, DrProblem):
         _check_oracle_scale(problem.dims)
-        return _full_dr_reference(problem.resolvents, problem.JB,
-                                  problem.gamma, max_iterations, tol)
+        dims, JB = problem.resolvents.dims, problem.JB
+        # the coupled resolvent through the adapter ``run_dr`` builds
+        return BlockVector._own(dims, _full_dr_reference(
+            problem.resolvents,
+            lambda v: _data(JB(BlockVector._own(dims, v)), dims.total),
+            problem.gamma, max_iterations, tol))
 
     if isinstance(problem, PdDrProblem):
         _check_oracle_scale(problem.k_dims)
-        zk = _full_dr_reference(problem.resolvents, problem.project, 1.0,
-                                max_iterations, tol)
-        return BlockVector(problem.h_dims, zk.flat[: problem.h_dims.total])
+        zk = _full_dr_reference(problem.resolvents, problem._project_flat,
+                                1.0, max_iterations, tol)
+        return BlockVector(problem.h_dims, zk[: problem.h_dims.total])
 
     if isinstance(problem, KmProblem):
-        _check_oracle_scale(problem.family.dims)
+        family, x0 = problem.family, problem.x0
+        _check_oracle_scale(family.dims)
+        if x0.dims != family.dims:
+            raise ShapeError("starting point does not match the operator "
+                             "family")
+        evaluate = family._flat
 
-        def step(n: int, x: BlockVector) -> tuple:
-            tx = problem.family.evaluate(n, x)
-            return distance(tx, x), x, combine(0.5, x, 0.5, tx)
+        def step(n: int, x: np.ndarray) -> tuple:
+            tx = evaluate(n, x)
+            return _norm(tx - x), x, _finite(0.5 * x + 0.5 * tx)
 
-        return _full_sweep(step, problem.x0, max_iterations, tol,
-                           "full-mask fixed point")
+        return BlockVector._own(x0.dims, _full_sweep(
+            step, x0.flat, max_iterations, tol, "full-mask fixed point"))
 
     raise CapabilityError(
         f"no reference route for {type(problem).__name__}"

@@ -315,7 +315,9 @@ class MaskLaw:
 
     ``bits`` is the read-only K-by-m 0/1 array of the patterns and
     ``probabilities`` their K probabilities, in the same order; the masks of
-    ``support`` are built from them on first read only.
+    ``support`` are built from them on first read only.  ``bits`` is the
+    transposed view of a C-contiguous m-by-K array, so ``bits.T[i]``, the
+    patterns' bits of block ``i``, is one contiguous row.
     """
 
     bits: np.ndarray
@@ -337,12 +339,22 @@ def mask_law(rule: SweepingRule) -> MaskLaw:
 
     Enumerates the nonzero patterns, so this is gated at ``m <= 20``.
     Bernoulli probabilities are renormalized by the rejection of the all-zero
-    pattern, and patterns of probability zero are left out.  The law is
-    built and kept as one K-by-m bit array: the Bernoulli probabilities are
-    m column products, and each marginal sums its column in support order,
-    so both equal a pattern-by-pattern loop bit for bit.  A marginal that
-    rounds above 1 is clamped to 1.
+    pattern, and patterns of probability zero are left out.  The law depends
+    only on the frozen rule's fields, so it is built on the first call and
+    kept on the rule; later calls return the same read-only law.  It is
+    built block-major, as one m-by-K bit array (about 21 MB at m=20): the
+    Bernoulli probabilities are m row products, and each marginal sums its
+    row in support order, so both equal a pattern-by-pattern loop bit for
+    bit.  A marginal that rounds above 1 is clamped to 1.
     """
+    law = getattr(rule, "_law", None)
+    if law is None:
+        law = _build_law(rule)
+        object.__setattr__(rule, "_law", law)
+    return law
+
+
+def _build_law(rule: SweepingRule) -> MaskLaw:
     m = rule.m
     if m > _ENUMERATION_LIMIT:
         raise CapacityError(
@@ -356,28 +368,29 @@ def mask_law(rule: SweepingRule) -> MaskLaw:
         keep = 1.0 - math.prod(1.0 - qi for qi in q)
         # the nonzero patterns in itertools.product((0, 1), repeat=m) order
         codes = np.arange(1, 1 << m)
-        bits = np.empty((codes.size, m), dtype=np.uint8)
+        bits = np.empty((m, codes.size), dtype=np.uint8)
         prod = np.ones(codes.size)
         for i, qi in enumerate(q):
-            bits[:, i] = (codes >> (m - 1 - i)) & 1
+            bits[i] = (codes >> (m - 1 - i)) & 1
             # left to right, as math.prod multiplies
-            prod *= np.where(bits[:, i], qi, 1.0 - qi)
+            prod *= np.where(bits[i], qi, 1.0 - qi)
         nonzero = prod > 0.0
-        bits = bits[nonzero]
-        probs = prod[nonzero] / keep
+        if not nonzero.all():
+            bits, prod = bits[:, nonzero], prod[nonzero]
+        probs = prod / keep
     else:  # fixed_subset_size
         subsets = np.array(list(itertools.combinations(range(m), rule.size)))
-        bits = np.zeros((len(subsets), m), dtype=np.uint8)
-        np.put_along_axis(bits, subsets, 1, axis=1)
+        bits = np.zeros((m, len(subsets)), dtype=np.uint8)
+        np.put_along_axis(bits, subsets.T, 1, axis=0)
         probs = np.full(len(subsets), 1.0 / len(subsets))
     bits.setflags(write=False)
     probs.setflags(write=False)
-    # a running total down each column: np.sum would add pairwise
+    # a running total along each row: np.sum would add pairwise
     marginals = tuple(
-        min(float(np.add.accumulate(np.where(col, probs, 0.0))[-1]), 1.0)
-        for col in bits.T
+        min(float(np.add.accumulate(np.where(row, probs, 0.0))[-1]), 1.0)
+        for row in bits
     )
-    return MaskLaw(bits, probs, marginals)
+    return MaskLaw(bits.T, probs, marginals)
 
 
 @dataclass(frozen=True)

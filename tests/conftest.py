@@ -9,11 +9,23 @@ solutions.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from scipy import optimize
 
 import blocksweep as bs
+
+# hypothesis's pytest plugin imports this module to show a failing example.
+# Its libcst import raises a DeprecationWarning, which the suite's
+# ``error::DeprecationWarning`` filter would turn into an INTERNALERROR that
+# hides the example; imported once here, the plugin's import finds it loaded.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: the plugin then skips the module too
+        pass
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,8 @@ def _cases() -> dict:
 
 
 CASES = _cases()
-# the oracle of a diverging run overflows with numpy's warning
+# the oracle of a diverging run has no answer: `blocksweep oracle` exits 1
+# with "error: block entries must be finite" and no warning
 NO_ORACLE = {"km_three_i_diverges", "km_diverges_before_first_record"}
 
 
