@@ -70,15 +70,15 @@ full grammar:
 Each kind of spec is one entry of a table that gives its keys (with their
 coercers and defaults) and its constructor.  One walker checks the grammar
 of every spec against its entry, and only the grammar: unknown or missing
-keys, value types, and one spec per block.  The values are checked only by
-what it feeds, with their own messages: the constructors (block dims,
-schedules, regularity tags, grids, box bounds), ``construct`` (the blocks
-of ``initial``, ``reference``, ``constant.value`` and
-``affine.fixed_points``) and each driver's ``_check_*`` (shapes, sweeping
-rule, error slots, hypothesis bounds), on the first seed's settings.  Both
-run at parse time, which turns their errors into a ``ConfigError``, so a
-config that parses passes every check a seed makes before its first
-iteration.
+keys, value types, and one spec per block; it hands on plain lists and
+numbers.  The values are converted to arrays and checked only by what it
+feeds, with their own messages: the constructors (block dims, schedules,
+regularity tags, grids, box bounds), ``construct`` (the blocks of
+``initial``, ``reference``, ``constant.value`` and ``affine.fixed_points``)
+and each driver's ``_check_*`` (shapes, sweeping rule, error slots,
+hypothesis bounds), on the first seed's settings.  Both run at parse time,
+which turns their errors into a ``ConfigError``, so a config that parses
+passes every check a seed makes before its first iteration.
 Traces are written one CSV per seed with 17-significant-digit floats so a
 replayed run produces byte-identical files; the aggregate report is JSON.
 The only environment override is ``BLOCKSWEEP_OUT`` for the output
@@ -98,7 +98,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
-import numpy as np
 import yaml
 
 from .blockspace import BlockDims, BlockVector, _check_terms, construct
@@ -153,7 +152,7 @@ from .solvers import (
     run_pd_dr,
     run_single_layer,
 )
-from .sweeping import ErrorModel, SweepingRule
+from .sweeping import ErrorModel, SweepingRule, fixed_subset_size, single_block
 
 __all__ = [
     "RunConfig",
@@ -324,10 +323,6 @@ def _build(table: _Table, spec: Mapping, *args):
     return table.kinds[spec[table.tag]][1](spec, *args)
 
 
-def _array(spec: Mapping, key: str) -> np.ndarray | None:
-    return np.array(spec[key]) if key in spec else None
-
-
 # The constructors below name module globals that are looked up when a spec
 # is built, so rebinding one of them here (as a tracing wrapper does) also
 # reaches CLI-built objects.
@@ -344,14 +339,12 @@ _FUNCTIONS = _Table("function", "kind", {
     "l1": ({"dim": (_int, _REQUIRED), "weight": (_float, 1.0)},
            lambda s: L1Norm(s["dim"], s["weight"])),
     "sq_l2": (_SQ_L2,
-              lambda s: SquaredDistance(np.array(s["center"]), s["weight"])),
-    "indicator_box": (_LO_HI, lambda s: BoxIndicator(np.array(s["lo"]),
-                                                     np.array(s["hi"]))),
+              lambda s: SquaredDistance(s["center"], s["weight"])),
+    "indicator_box": (_LO_HI, lambda s: BoxIndicator(s["lo"], s["hi"])),
     "indicator_ball": (
         {"center": (_float_list, _REQUIRED), "radius": (_float, _REQUIRED)},
-        lambda s: BallIndicator(np.array(s["center"]), s["radius"])),
-    "quadratic": (_QUADRATIC, lambda s: Quadratic(np.array(s["matrix"]),
-                                                  np.array(s["offset"]))),
+        lambda s: BallIndicator(s["center"], s["radius"])),
+    "quadratic": (_QUADRATIC, lambda s: Quadratic(s["matrix"], s["offset"])),
     "zero": ({"dim": (_int, _REQUIRED)}, lambda s: Zero(s["dim"])),
 })
 
@@ -360,16 +353,15 @@ _MONOTONES = _Table("operator", "kind", {
     **{kind: (fields, lambda s: Subdifferential(_build(_FUNCTIONS, s)))
        for kind, (fields, _) in _FUNCTIONS.kinds.items()},
     "linear_monotone": (_LINEAR, lambda s: LinearMonotone(
-        np.array(s["matrix"]), _array(s, "offset"))),
-    "normal_cone_box": (_LO_HI, lambda s: BoxNormalCone(np.array(s["lo"]),
-                                                        np.array(s["hi"]))),
+        s["matrix"], s.get("offset"))),
+    "normal_cone_box": (_LO_HI, lambda s: BoxNormalCone(s["lo"], s["hi"])),
 })
 
 _SMOOTHS = _Table("smooth", "kind", {
     "sq_l2": (_SQ_L2, lambda s: SmoothTerm.squared_distance(
-        np.array(s["center"]), s["weight"])),
+        s["center"], s["weight"])),
     "quadratic": (_QUADRATIC, lambda s: SmoothTerm.quadratic(
-        np.array(s["matrix"]), np.array(s["offset"]))),
+        s["matrix"], s["offset"])),
 })
 
 _BLOCK_FUNCTIONS = _list_of(_spec_of(_FUNCTIONS), per_block=True)
@@ -379,20 +371,16 @@ _COUPLED_SMOOTH = {"smooth": (_SMOOTH_TERMS, _REQUIRED),
                    "grid": (_grid, _REQUIRED)}
 
 
-def _grid_operator(spec: Mapping) -> LinearBlockOperator:
-    return LinearBlockOperator([[np.array(e) for e in row]
-                                for row in spec["grid"]])
-
-
 def _coupling_gradient(spec: Mapping) -> CocoerciveOperator:
     return coupling_forward_operator(
-        _grid_operator(spec), [_build(_SMOOTHS, s) for s in spec["smooth"]])
+        LinearBlockOperator(spec["grid"]),
+        [_build(_SMOOTHS, s) for s in spec["smooth"]])
 
 
 def _affine(spec: Mapping, dims: BlockDims) -> BlockOperatorFamily:
     alpha = Schedule(**spec["alpha"]) if "alpha" in spec else None
     fixed = tuple(construct(dims, fp) for fp in spec.get("fixed_points", []))
-    return affine_family(dims, np.array(spec["matrix"]), _array(spec, "offset"),
+    return affine_family(dims, spec["matrix"], spec.get("offset"),
                          spec["regularity"], alpha, fixed)
 
 
@@ -404,8 +392,7 @@ _OPERATORS = _Table("operator", "type", {
                  s["gamma"])),
     "box_projection": (
         {"lo": (_float_list, _REQUIRED), "hi": (_float_list, _REQUIRED)},
-        lambda s, dims: box_projection_family(np.array(s["lo"]),
-                                              np.array(s["hi"]), dims)),
+        lambda s, dims: box_projection_family(s["lo"], s["hi"], dims)),
     "affine": ({"matrix": (_matrix, _REQUIRED),
                 "offset": (_float_list, _OMITTED),
                 "regularity": (_str, "nonexpansive"),
@@ -428,7 +415,7 @@ def _linear_coupling(spec: Mapping, dims: BlockDims, gamma: float):
 
     ``B`` need not be cocoercive, so the plan claims no forward evaluation.
     """
-    op = LinearMonotone(np.array(spec["matrix"]), _array(spec, "offset"))
+    op = LinearMonotone(spec["matrix"], spec.get("offset"))
     if op.dim != dims.total:
         raise ConfigError("coupling matrix must act on the full space")
     return lambda v: BlockVector._own(dims, op.resolvent(v.flat, gamma))
@@ -452,7 +439,7 @@ def _linear_forward(spec: Mapping, dims: BlockDims) -> CocoerciveOperator:
     """``x -> M x + offset``, the gradient of a convex ``Quadratic``."""
     # Quadratic checks that M is symmetric PSD: the map is 1/||M||-cocoercive
     M = spec["matrix"]
-    f = Quadratic(np.array(M), np.array(spec.get("offset", [0.0] * len(M))))
+    f = Quadratic(M, spec.get("offset", [0.0] * len(M)))
     if f.dim != dims.total:
         raise ConfigError("forward.matrix must act on the full space")
     norm = spectral_norm_psd(f.Q)
@@ -472,15 +459,13 @@ _FORWARDS = _Table("forward", "type", {
 
 _SCHEMES = _Table("sweeping", "scheme", {
     "single_block": ({"weights": (_float_list, _OMITTED)},
-                     lambda s, m: SweepingRule("single_block", m, weights=tuple(
-                         s.get("weights", [1.0] * m)))),
+                     lambda s, m: single_block(m, s.get("weights"))),
     "independent_bernoulli": (
         {"probabilities": (_float_list, _REQUIRED)},
         lambda s, m: SweepingRule("independent_bernoulli", m,
                                   probabilities=tuple(s["probabilities"]))),
     "fixed_subset_size": ({"size": (_int, _REQUIRED)},
-                          lambda s, m: SweepingRule("fixed_subset_size", m,
-                                                    size=s["size"])),
+                          lambda s, m: fixed_subset_size(m, s["size"])),
 })
 
 _DECAY = {"scale": (_float, _REQUIRED), "decay": (_float, _REQUIRED)}
@@ -636,7 +621,7 @@ def _plan_dr(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
 
 def _plan_pd_dr(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
     gamma = rc.solver["gamma"]
-    grid = _grid_operator(prob)
+    grid = LinearBlockOperator(prob["grid"])
     problem = assemble_pd_problem(
         [_build(_MONOTONES, f) for f in prob["functions"]],
         [_build(_MONOTONES, g) for g in prob["duals"]], grid)
@@ -667,7 +652,7 @@ def _plan_fb(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
 
 
 def _plan_fb_min(prob: Mapping, rc: RunConfig, dims: BlockDims) -> _RunPlan:
-    grid = _grid_operator(prob)
+    grid = LinearBlockOperator(prob["grid"])
     problem = CoupledMinProblem(
         tuple(_build(_FUNCTIONS, f) for f in prob["functions"]),
         tuple(_build(_SMOOTHS, s) for s in prob["smooth"]), grid)

@@ -1199,12 +1199,20 @@ def regularity_test(
 ) -> RegularityReport:
     """Sample the defining inequality of a regularity class.
 
-    Slacks are the left side minus the right side of the squared inequality,
-    so nonpositive slack means the sample satisfies the claim.  Claims are
-    only falsifiable by search; zero violations is evidence, not proof.
+    One loop samples all three inequalities at pairs ``(x, y)``: ``y`` is
+    drawn after ``x``, or for a quasinonexpansive claim is a known fixed
+    point, taken as ``T y = y``.  Slacks are the left side minus the right
+    side of the squared inequality, so nonpositive slack means the sample
+    satisfies the claim.  Claims are only falsifiable by search; zero
+    violations is evidence, not proof.
     """
     if claim not in _REGULARITY_TAGS:
         raise ParameterError(f"unknown regularity claim {claim!r}")
+    fixed = T.fixed_points if claim == "quasinonexpansive" else None
+    if fixed is not None and not fixed:
+        raise ParameterError(
+            "quasinonexpansive claims need at least one known fixed point"
+        )
     rng = np.random.default_rng(rng_seed)
     d = T.dims.total
     worst = -math.inf
@@ -1213,29 +1221,12 @@ def regularity_test(
     def draw() -> BlockVector:
         return BlockVector(T.dims, rng.standard_normal(d))
 
-    if claim == "quasinonexpansive":
-        if not T.fixed_points:
-            raise ParameterError(
-                "quasinonexpansive claims need at least one known fixed point"
-            )
-        for _ in range(sample_count):
-            x = draw()
-            z = T.fixed_points[int(rng.integers(len(T.fixed_points)))]
-            tx = T.evaluate(iteration, x)
-            slack = (
-                float(np.linalg.norm(tx.flat - z.flat)) ** 2
-                - float(np.linalg.norm(x.flat - z.flat)) ** 2
-            )
-            worst = max(worst, slack)
-            if slack > tolerance:
-                violations += 1
-        return RegularityReport(violations, worst, sample_count)
-
     alpha = T.alpha_at(iteration) if claim == "averaged" else None
     for _ in range(sample_count):
-        x, y = draw(), draw()
+        x = draw()
+        y = draw() if fixed is None else fixed[int(rng.integers(len(fixed)))]
         tx = T.evaluate(iteration, x)
-        ty = T.evaluate(iteration, y)
+        ty = T.evaluate(iteration, y) if fixed is None else y
         lhs = float(np.linalg.norm(tx.flat - ty.flat)) ** 2
         rhs = float(np.linalg.norm(x.flat - y.flat)) ** 2
         if claim == "averaged":
