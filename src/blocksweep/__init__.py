@@ -55,6 +55,7 @@ from .operators import (
     MonotoneOperator,
     ProxFunction,
     Quadratic,
+    RegularityReport,
     Schedule,
     SmoothTerm,
     SquaredDistance,

@@ -123,6 +123,7 @@ from .operators import (
     SquaredDistance,
     Subdifferential,
     Zero,
+    _family,
     affine_family,
     blockwise_resolvent,
     box_projection_family,
@@ -592,14 +593,10 @@ def _plan_double_layer(prob: Mapping, rc: RunConfig,
     outer = _build(_OPERATORS, prob["outer"], dims)
     inner = _build(_OPERATORS, prob["inner"], dims)
     x0 = _initial(rc, "x0", dims)
-
-    def composed(n, x):
-        return outer.evaluate(n, inner.evaluate(n, x))
-
+    composed = _family(dims, lambda n, x: outer._flat(n, inner._flat(n, x)),
+                       "nonexpansive")
     return _RunPlan(
-        dims.m,
-        KmProblem(BlockOperatorFamily(dims, composed, "nonexpansive"), x0),
-        dims,
+        dims.m, KmProblem(composed, x0), dims,
         lambda scfg: run_double_layer(outer, inner, scfg, x0),
         lambda scfg: _check_double_layer(outer, inner, scfg, x0),
     )

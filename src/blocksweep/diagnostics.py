@@ -37,7 +37,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .operators import BlockOperatorFamily, SeparableSweep, _data, _sweep_map
+from .operators import BlockOperatorFamily, SeparableSweep, _sweep_map
 from .solvers import (
     CoupledMinProblem,
     DrProblem,
@@ -46,6 +46,7 @@ from .solvers import (
     KmProblem,
     PdDrProblem,
     PrimalDualSolution,
+    _coupled_flat,
 )
 from .sweeping import MaskLaw, SweepingRule, mask_law
 
@@ -477,9 +478,10 @@ def oracle_reference(
     algebra.  Raises when the budget is exhausted before the target
     residual, so a failed reference is reported rather than faked.
 
-    The sweeps run on flat arrays through the drivers' array cores, dims
-    are checked once up front (a ``KmProblem``'s ``x0`` against its
-    family) and only the answer is wrapped; see ``_full_sweep``.
+    The sweeps run on flat arrays through the drivers' array cores (a
+    ``KmProblem``'s family core, a CLI double layer's composition too, and
+    ``run_dr``'s adapter of a user coupled resolvent), dims are checked
+    once up front and only the answer is wrapped; see ``_full_sweep``.
     """
     if isinstance(problem, CoupledMinProblem):
         _check_oracle_scale(problem.dims)
@@ -518,11 +520,9 @@ def oracle_reference(
 
     if isinstance(problem, DrProblem):
         _check_oracle_scale(problem.dims)
-        dims, JB = problem.resolvents.dims, problem.JB
-        # the coupled resolvent through the adapter ``run_dr`` builds
+        dims = problem.resolvents.dims
         return BlockVector._own(dims, _full_dr_reference(
-            problem.resolvents,
-            lambda v: _data(JB(BlockVector._own(dims, v)), dims.total),
+            problem.resolvents, _coupled_flat(problem.JB, dims),
             problem.gamma, max_iterations, tol))
 
     if isinstance(problem, PdDrProblem):

@@ -1018,11 +1018,12 @@ class BlockOperatorFamily:
     averaging constant, a float or a ``Schedule``, kept as a ``Schedule``.
 
     ``_flat(n, x)`` is the same map on flat float64 arrays, which the
-    drivers call: it returns the image as an array checked finite that no
-    one writes to, and does not write to ``x``.  A family built here calls
-    ``evaluate`` on a ``BlockVector`` wrap of ``x``; the factories below
-    give their families an array core instead, and their ``evaluate``
-    wraps the value of the same map as a ``BlockVector``.
+    drivers, the references and ``regularity_test`` call: it returns the
+    image as an array checked finite that no one writes to, and does not
+    write to ``x``.  A family built here calls ``evaluate`` on a
+    ``BlockVector`` wrap of ``x``.  Every package family comes from
+    ``_family`` and has an array core instead; its ``evaluate`` checks the
+    blocks of ``x`` and wraps the value of the same map.
     """
 
     dims: BlockDims
@@ -1054,24 +1055,18 @@ class BlockOperatorFamily:
 
 def _family(dims: BlockDims, image, regularity: str, averaging=None,
             fixed_points=()) -> BlockOperatorFamily:
-    """A family of the map ``image(n, flat) -> new array``, not yet checked.
-
-    Its ``evaluate`` wraps the image as a ``BlockVector``, which checks it
-    once, and its array core checks it with ``_finite``.
-    """
+    """The family of ``image(n, flat) -> array``, the one route of every
+    package family.  Its ``evaluate`` checks the blocks of ``x`` and wraps
+    the image as a ``BlockVector``, which checks it once; its array core
+    checks it with ``_finite``."""
     def evaluate(n: int, x: BlockVector) -> BlockVector:
         if x.dims != dims:
             raise ShapeError("vector dims do not match the operator blocks")
         return BlockVector._own(dims, image(n, x.flat))
 
-    return _with_core(
-        BlockOperatorFamily(dims, evaluate, regularity, averaging,
-                            tuple(fixed_points)),
-        lambda n, x: _finite(image(n, x)))
-
-
-def _with_core(family: BlockOperatorFamily, core) -> BlockOperatorFamily:
-    object.__setattr__(family, "_flat", core)
+    family = BlockOperatorFamily(dims, evaluate, regularity, averaging,
+                                 tuple(fixed_points))
+    object.__setattr__(family, "_flat", lambda n, x: _finite(image(n, x)))
     return family
 
 
@@ -1126,9 +1121,7 @@ def forward_step_family(B: CocoerciveOperator | None, gamma,
     if B is None:
         if dims is None:
             raise ParameterError("need dims when the forward operator is absent")
-        return _with_core(
-            BlockOperatorFamily(dims, lambda n, x: x, "averaged", 1e-9),
-            lambda n, x: x)
+        return _family(dims, lambda n, x: x, "averaged", 1e-9)
 
     gamma, grad = as_schedule(gamma), B._flat
     # one division per end: 1 / (2 theta) overflows for a tiny theta
@@ -1166,10 +1159,8 @@ def affine_family(
 
 def constant_family(z: BlockVector) -> BlockOperatorFamily:
     """Constant map; quasinonexpansive with unique fixed point ``z``."""
-    return _with_core(
-        BlockOperatorFamily(z.dims, lambda n, x: z, "quasinonexpansive",
-                            fixed_points=(z,)),
-        lambda n, x: z.flat)
+    return _family(z.dims, lambda n, x: z.flat, "quasinonexpansive",
+                   fixed_points=(z,))
 
 
 def box_projection_family(lo, hi, dims: BlockDims) -> BlockOperatorFamily:
@@ -1204,7 +1195,7 @@ def regularity_test(
     point, taken as ``T y = y``.  Slacks are the left side minus the right
     side of the squared inequality, so nonpositive slack means the sample
     satisfies the claim.  Claims are only falsifiable by search; zero
-    violations is evidence, not proof.
+    violations is evidence, not proof.  It samples ``T._flat`` on arrays.
     """
     if claim not in _REGULARITY_TAGS:
         raise ParameterError(f"unknown regularity claim {claim!r}")
@@ -1218,19 +1209,18 @@ def regularity_test(
     worst = -math.inf
     violations = 0
 
-    def draw() -> BlockVector:
-        return BlockVector(T.dims, rng.standard_normal(d))
-
+    evaluate = T._flat
     alpha = T.alpha_at(iteration) if claim == "averaged" else None
     for _ in range(sample_count):
-        x = draw()
-        y = draw() if fixed is None else fixed[int(rng.integers(len(fixed)))]
-        tx = T.evaluate(iteration, x)
-        ty = T.evaluate(iteration, y) if fixed is None else y
-        lhs = float(np.linalg.norm(tx.flat - ty.flat)) ** 2
-        rhs = float(np.linalg.norm(x.flat - y.flat)) ** 2
+        x = rng.standard_normal(d)
+        y = (rng.standard_normal(d) if fixed is None
+             else fixed[int(rng.integers(len(fixed)))].flat)
+        tx = evaluate(iteration, x)
+        ty = evaluate(iteration, y) if fixed is None else y
+        lhs = float(np.linalg.norm(tx - ty)) ** 2
+        rhs = float(np.linalg.norm(x - y)) ** 2
         if claim == "averaged":
-            res = (x.flat - tx.flat) - (y.flat - ty.flat)
+            res = (x - tx) - (y - ty)
             rhs -= (1.0 - alpha) / alpha * float(np.linalg.norm(res)) ** 2
         slack = lhs - rhs
         worst = max(worst, slack)

@@ -90,6 +90,7 @@ from .operators import (
     _check_gamma,
     _coupling_operator,
     _data,
+    _family,
     _graph_projection_flat,
     _row_grams,
     _sweep_map,
@@ -722,12 +723,17 @@ def _check_double_layer(T: BlockOperatorFamily, R: BlockOperatorFamily,
 # ---------------------------------------------------------------------------
 
 
-def _spot_check_resolvent(
-    jb: Callable[[BlockVector], BlockVector], dims: BlockDims
-) -> None:
-    """Sampled nonexpansiveness check of a user-supplied coupled resolvent."""
+def _coupled_flat(JB: Callable[[BlockVector], BlockVector],
+                  dims: BlockDims) -> Callable[[np.ndarray], np.ndarray]:
+    """A user-supplied coupled resolvent on flat arrays, checked in shape."""
+    return lambda v: _data(JB(BlockVector._own(dims, v)), dims.total)
+
+
+def _spot_check_resolvent(jb: Callable[[np.ndarray], np.ndarray],
+                          dims: BlockDims) -> None:
+    """Sampled nonexpansiveness check of ``_coupled_flat``'s map."""
     report = regularity_test(
-        BlockOperatorFamily(dims, lambda n, x: jb(x), "nonexpansive"),
+        _family(dims, lambda n, x: jb(x), "nonexpansive"),
         "nonexpansive", sample_count=8, rng_seed=0x4A42)
     if report.violations:
         raise ParameterError(
@@ -774,8 +780,9 @@ def run_dr(
     if not isinstance(A, SeparableSweep):
         A = SeparableSweep(A, "resolvent")
     _check_dr(A, gamma, cfg, x0)
+    jb = _coupled_flat(JB, dims)
     if check_resolvent:
-        _spot_check_resolvent(JB, dims)
+        _spot_check_resolvent(jb, dims)
 
     def solution(x: np.ndarray, z: np.ndarray) -> PrimalDualSolution:
         dual = (1.0 / gamma) * x + (-1.0 / gamma) * z
@@ -783,8 +790,7 @@ def run_dr(
                                   dual=BlockVector._own(dims, dual))
 
     return _splitting(
-        cfg, x0, A, lambda v: _data(JB(BlockVector._own(dims, v)), dims.total),
-        gamma, _error_sampler(cfg, ("a", dims)),
+        cfg, x0, A, jb, gamma, _error_sampler(cfg, ("a", dims)),
         _error_sampler(cfg, ("b", dims)), dims.total, solution)
 
 

@@ -138,6 +138,11 @@ REJECTED = [
      bs.ParameterError, "family has no averaging constant"),
     ("identity_step_without_dims", lambda: bs.forward_step_family(None, 1.0),
      bs.ParameterError, "need dims when the forward operator is absent"),
+    ("identity_dims",
+     lambda: bs.forward_step_family(None, 1.0, D1).evaluate(0, X2),
+     bs.ShapeError, "vector dims do not match the operator blocks"),
+    ("constant_dims", lambda: bs.constant_family(X1).evaluate(0, X2),
+     bs.ShapeError, "vector dims do not match the operator blocks"),
     ("affine_matrix_shape", lambda: bs.affine_family(D1, np.eye(2)),
      bs.ShapeError, "matrix must be 1 x 1"),
     ("affine_offset_shape",
