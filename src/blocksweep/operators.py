@@ -9,8 +9,12 @@ class that can be spot-checked by sampling.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -886,6 +890,24 @@ def _coupling_operator(rows: _SmoothRows) -> CocoerciveOperator:
     return B
 
 
+@functools.cache
+def _lapack():
+    """``dpotrf`` and ``dpotrs``, the LAPACK calls of ``cho_factor`` and
+    ``cho_solve``, from scipy's compiled wrapper alone, loaded once: importing
+    the ``scipy.linalg`` package costs far more than the factor itself."""
+    name = "scipy.linalg._flapack"
+    lapack = sys.modules.get(name)
+    if lapack is None:  # a missing file raises ImportError naming its path
+        root = find_spec("scipy").submodule_search_locations[0]
+        path = f"{root}/linalg/_flapack{EXTENSION_SUFFIXES[0]}"
+        spec = spec_from_loader(name, ExtensionFileLoader(name, path))
+        lapack = module_from_spec(spec)
+        spec.loader.exec_module(lapack)
+        if sys.modules.get(name) is lapack:  # a later scipy.linalg binds its own
+            del sys.modules[name]
+    return lapack.dpotrf, lapack.dpotrs
+
+
 class GraphSubspace:
     """Projector onto ``{(x, y) : Lx = y}`` with one cached factorization.
 
@@ -894,10 +916,6 @@ class GraphSubspace:
     """
 
     def __init__(self, operator: LinearBlockOperator):
-        # scipy is imported here, not at module load: only graph-coupled
-        # problems pay its import time
-        from scipy.linalg import cho_factor, get_lapack_funcs
-
         self.operator = operator
         L = operator.stacked
         with np.errstate(over="ignore"):
@@ -905,17 +923,16 @@ class GraphSubspace:
         if not np.isfinite(normal).all():
             raise ParameterError("the coupling grid overflows: the sum of its "
                                  "squared entries is not finite")
-        try:
-            self._factor = cho_factor(normal)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded
-            raise NumericError(f"graph subspace factorization failed: {exc}") from exc
-        # looked up once: cho_solve looks it up and checks its inputs per call
-        self._potrs, = get_lapack_funcs(("potrs",), (self._factor[0],))
+        potrf, self._potrs = _lapack()
+        # cho_factor(normal)'s call: the upper factor, the lower triangle kept
+        self._factor, info = potrf(normal, lower=False, overwrite_a=False,
+                                   clean=False)
+        if info != 0:  # pragma: no cover - I + L'L is positive definite
+            raise NumericError(f"graph subspace factorization failed: {info}")
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``cho_solve(self._factor, rhs)`` without its per-call checks."""
-        c, lower = self._factor
-        x, info = self._potrs(c, rhs, lower=lower)
+        """``cho_solve((self._factor, False), rhs)`` without its checks."""
+        x, info = self._potrs(self._factor, rhs, lower=False)
         if info != 0:  # pragma: no cover - only for an illegal argument
             raise NumericError(f"potrs failed with info {info}")
         return x
@@ -1059,6 +1076,9 @@ def _family(dims: BlockDims, image, regularity: str, averaging=None,
     package family.  Its ``evaluate`` checks the blocks of ``x`` and wraps
     the image as a ``BlockVector``, which checks it once; its array core
     checks it with ``_finite``."""
+    for k, z in enumerate(fixed_points):
+        if z.dims != dims:
+            raise ShapeError(f"fixed point {k} is not on the operator blocks")
     def evaluate(n: int, x: BlockVector) -> BlockVector:
         if x.dims != dims:
             raise ShapeError("vector dims do not match the operator blocks")

@@ -5,8 +5,9 @@ Each config runs as ``blocksweep run`` in two fresh processes, under
 ``report.json`` must be byte for byte the same.  The golden ``pd_dr``
 configs, whose graph matrices are small, hold; the ``pd_graph`` benchmark
 config (seed 0, 160 primal entries), made by ``perfbench/workloads.py``,
-does not yet: ``cho_factor``'s blocked Cholesky gives other last bits at
-two threads from order 160 up (README's scope notes).
+does not yet: LAPACK ``dpotrf``, the blocked Cholesky that ``cho_factor``
+calls, gives other last bits at two threads from order 160 up (README's
+scope notes).
 """
 
 import importlib.util

@@ -686,7 +686,20 @@ def test_the_identity_operator_parses_without_a_dense_matrix():
     assert peak < 10 * 2**20
 
 
-def test_importing_the_cli_does_not_load_scipy():
+PD_DR_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "golden", "cases", "pd_dr_bernoulli",
+                            "config.yaml")
+
+
+# a pd_dr run factors I + L'L with scipy's LAPACK wrapper loaded on its own:
+# neither the scipy.linalg package nor numpy.f2py, which it pulls in, loads
+# (five iterations stop short of the tolerance: exit status 2)
+@pytest.mark.parametrize("argv, status", [
+    (None, None),
+    (["validate", PD_DR_GOLDEN], 0),
+    (["run", PD_DR_GOLDEN, "--max-iter", "5", "--out", "{out}"], 2),
+], ids=["import", "validate", "run"])
+def test_importing_the_cli_does_not_load_scipy(argv, status, tmp_path):
     import subprocess
     import sys
 
@@ -694,11 +707,18 @@ def test_importing_the_cli_does_not_load_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, blocksweep.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
+    code = "import sys, blocksweep.cli\n"
+    if argv is not None:
+        argv = [a.format(out=tmp_path / "out") for a in argv]
+        code += f"print(blocksweep.cli.main({argv!r}))\n"
+    code += ("print(sorted({'scipy', 'scipy.linalg', 'numpy.f2py'}"
+             " & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60, check=True)
+    lines = out.stdout.splitlines()
+    assert lines[-1] == "[]"
+    if argv is not None:
+        assert lines[-2] == str(status)
 
 
 def test_a_diverging_seed_is_reported_with_its_partial_trace(tmp_path):

@@ -148,6 +148,11 @@ REJECTED = [
     ("affine_offset_shape",
      lambda: bs.affine_family(D1, np.eye(1), [0.0, 0.0]),
      bs.ShapeError, "offset must match the total dimension"),
+    ("fixed_point_dims",
+     lambda: bs.affine_family(bs.BlockDims([1, 2]), 0.5 * np.eye(3),
+                              regularity="quasinonexpansive",
+                              fixed_points=[X1]),
+     bs.ShapeError, "fixed point 0 is not on the operator blocks"),
     ("regularity_claim",
      lambda: bs.regularity_test(bs.affine_family(D1, np.eye(1)), "firm"),
      bs.ParameterError, "unknown regularity claim 'firm'"),
