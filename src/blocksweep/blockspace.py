@@ -292,27 +292,33 @@ def masked_update(
 ) -> BlockVector:
     """Relaxed update of the active blocks toward ``target``.
 
-    Active block ``i`` becomes ``x_i + relax*(target_i - x_i)``; inactive
-    blocks are bit-identical copies of ``x_i``.  With ``relax == 1`` active
-    blocks are exact copies of the target.
+    Active block ``i`` becomes ``x_i + relax*(target_i - x_i)``, selected
+    from that candidate over every block; inactive blocks are bit-identical
+    copies of ``x_i``, and an overflow there does not warn.  With
+    ``relax == 1`` active blocks are exact copies of the target.
     """
     _check_same_dims(x, target)
     if mask.m != x.dims.m:
         raise ShapeError(f"mask has {mask.m} bits for {x.dims.m} blocks")
-    return BlockVector._own(x.dims, _masked_flat(x.flat, mask.active, relax,
-                                                 target.flat, x.dims.offsets))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cand = _relaxed(x.flat, relax, target.flat)
+    return BlockVector._own(x.dims, _masked_flat(x.flat, mask.active, cand,
+                                                 x.dims.offsets))
 
 
-def _masked_flat(x: np.ndarray, active, relax: float, target: np.ndarray,
+def _relaxed(x: np.ndarray, relax: float, target: np.ndarray) -> np.ndarray:
+    """``x + relax*(target - x)``; ``target`` itself at ``relax == 1.0``,
+    since in floats ``x + 1.0*(t - x)`` is not always ``t``."""
+    return target if relax == 1.0 else x + relax * (target - x)
+
+
+def _masked_flat(x: np.ndarray, active, cand: np.ndarray,
                  offsets) -> np.ndarray:
-    """``masked_update`` on flat arrays, unchecked; returns a new array."""
+    """A new copy of ``x`` with the ``active`` blocks of ``cand``, unchecked."""
     out = x.copy()
     for i in active:
         sl = slice(offsets[i], offsets[i + 1])
-        if relax == 1.0:
-            out[sl] = target[sl]
-        else:
-            out[sl] = x[sl] + relax * (target[sl] - x[sl])
+        out[sl] = cand[sl]
     return out
 
 

@@ -26,6 +26,7 @@ from .blockspace import (
     _check_same_dims,
     _finite,
     _norm,
+    _relaxed,
     combine,
     distance,
     reduce,
@@ -162,8 +163,7 @@ def _expected_weighted_sq(
     bits, probs = law.bits, law.probabilities
     # both callers have checked that the law has one bit per block of x
     _check_same_dims(x, target)
-    cand = (target.flat if relax == 1.0
-            else x.flat + relax * (target.flat - x.flat))
+    cand = _relaxed(x.flat, relax, target.flat)
     inactive = 1.0 * x.flat + -1.0 * ref.flat
     active = 1.0 * cand + -1.0 * ref.flat
     # a non-finite candidate leaves ``active`` non-finite too

@@ -7,14 +7,15 @@ configuration and seed: masks and stochastic errors are drawn from streams
 keyed only by ``(seed, iteration, stream)``.
 
 All six drivers run one loop, ``_engine``, which owns the tolerance stop,
-the mask draw, the snapshot stride and the trace records.  Its
-``measure(n, x)`` does the full-vector work (residual, distance, objective,
-stepsize or gamma column) and its ``step(n, x, mask, relax, state)`` updates
-the active blocks only.  The relaxed drivers share one measure/step pair
-(``_km``), the splitting drivers another (``_splitting``).  Each driver
-checks its cheap preconditions in one ``_check_*`` function, which the CLI
-also calls when it parses a config and which calls ``_check_run``; the
-loop itself compares no ``BlockDims``.
+the mask draw, the masked update, the snapshot stride and the trace
+records.  Its ``measure(n, x)`` does the full-vector work (residual,
+distance, objective, stepsize or gamma column); its ``step(n, x, relax,
+state)`` returns a full-length candidate, whose active blocks the engine
+copies into a copy of the iterate, so no driver sees the mask.  The relaxed
+drivers share one measure/step pair (``_km``), the splitting drivers
+another (``_splitting``).  Each driver checks its cheap preconditions in
+one ``_check_*`` function, which the CLI also calls at parse and which
+calls ``_check_run``; the loop itself compares no ``BlockDims``.
 
 The loop works on flat float64 arrays: the iterate, error draws, targets,
 reflections, distances, the masked update and every operator value.  It
@@ -27,10 +28,9 @@ given as a plain callable), and for the snapshots and the final point.
 Every family's value, the reflected point and the resolvent sweep of the
 splitting drivers, the graph projection, the double layer's perturbed
 input ``R_n x + b_n`` (with ``run_fb``'s scaled ``c`` draw) and every new
-iterate are checked to be finite.  The other perturbed values, ``_km``'s
-``target + a_n`` and ``_splitting``'s ``z + b_n`` with its second
-resolvent sweep, are not scanned themselves: they reach the iterate only
-through its active blocks, and the new iterate is scanned.  A
+iterate are checked to be finite.  The candidates and the other perturbed
+values (``target + a_n``, ``z + b_n`` and its resolvent sweep) are not: they
+reach the iterate only through its active blocks, which are scanned.  A
 ``NonFiniteError`` from any check ends the run with
 ``termination="diverged"``: the trace keeps the completed iterations and
 ``final`` is the last finite iterate.  The loop runs under one
@@ -73,6 +73,7 @@ from .blockspace import (
     _finite,
     _masked_flat,
     _norm,
+    _relaxed,
 )
 from .errors import NonFiniteError, ParameterError, ShapeError
 from .operators import (
@@ -456,14 +457,13 @@ def _engine(
 ) -> IterateTrace:
     """The iteration loop of every driver; see the module docstring.
 
-    The iterate is the flat read-only data of ``x0`` and then the arrays
-    ``step`` returns, each checked finite.  ``measure(n, x)`` returns
-    ``(residual, stepsize, distance, objective, state)`` and ``state`` is
-    handed on to ``step(n, x, mask, relax, state)``, which returns the next
-    iterate as a new array.  Snapshots and the final point are wrapped as
-    ``BlockVector``s.
+    ``measure(n, x)`` returns ``(residual, stepsize, distance, objective,
+    state)`` and ``state`` is handed on to ``step(n, x, relax, state)``,
+    which returns a full-length candidate.  From ``x0``'s flat data on, the
+    next iterate is ``x`` with the candidate's active blocks, read-only and
+    checked finite.  Snapshots and the final point are ``BlockVector``s.
     """
-    dims = x0.dims
+    dims, offsets = x0.dims, x0.dims.offsets
 
     def vector(flat: np.ndarray) -> BlockVector:
         return x0 if flat is x0.flat else BlockVector._own(dims, flat)
@@ -484,7 +484,8 @@ def _engine(
                     break
                 mask = masks(n)
                 relax = relaxation.at(n)
-                nxt = _finite(step(n, x, mask, relax, state))
+                nxt = _finite(_masked_flat(x, mask.active,
+                                           step(n, x, relax, state), offsets))
                 nxt.setflags(write=False)
                 snap = vector(x) if n % cfg.snapshot_stride == 0 else None
                 records.append(
@@ -509,7 +510,6 @@ def _km(
     ``target_fn`` maps flat arrays and returns its value checked finite.
     """
     ref = cfg.reference.flat if cfg.reference is not None else None
-    offsets = x0.dims.offsets
     objective = _flat_objective(objective_fn, x0.dims)
 
     def measure(n: int, x: np.ndarray) -> tuple:
@@ -520,11 +520,11 @@ def _km(
                 objective(x) if objective else None,
                 target)
 
-    def step(n: int, x: np.ndarray, mask, lam: float,
+    def step(n: int, x: np.ndarray, lam: float,
              target: np.ndarray) -> np.ndarray:
         if sampler_a is not None:
             target = target + sampler_a(n)
-        return _masked_flat(x, mask.active, lam, target, offsets)
+        return _relaxed(x, lam, target)
 
     return _engine(cfg, x0, cfg.relaxation, measure, step)
 
@@ -560,19 +560,18 @@ def _splitting(
     """The splitting loop of ``run_dr`` and ``run_pd_dr``, and its solution.
 
     ``jb`` maps the flat iterate to the coupled resolvent there.  The
-    shadow state ``z = jb(x) + b_n`` is read only on the active blocks,
-    which are exactly the blocks it refreshes, so it is not carried between
-    iterations.  ``measure`` sweeps the resolvents of the ``A_i`` at the
-    reflection ``2 jb(x) - x`` for the residual, and ``step`` reuses that
-    sweep; only a ``b_n`` draw makes it form ``z`` over the whole vector and
-    sweep again at ``2z - x``.  The distance to the reference is measured on
-    the first ``split`` entries of ``jb(x)``, the primal blocks.
+    candidate is ``x + mu (J_A(2z - x) - z + a_n)`` with the shadow state
+    ``z = jb(x) + b_n``; only its active blocks, exactly the blocks ``z``
+    refreshes, reach the iterate, so ``z`` is not carried.  ``measure``
+    sweeps the resolvents at ``2 jb(x) - x`` for the residual and ``step``
+    reuses that sweep; a ``b_n`` draw makes it sweep again at ``2z - x``.
+    The distance to the reference is measured on the first ``split``
+    entries of ``jb(x)``, the primal blocks.
 
     Whatever the termination, the run ends with ``solution(x, jb(x))`` at
     the final point, quiet as the loop is; it is None when that raises
     ``NonFiniteError``.
     """
-    offsets = x0.dims.offsets
     ref = cfg.reference.flat if cfg.reference is not None else None
     resolvents = _sweep_map(sweep)
 
@@ -583,20 +582,15 @@ def _splitting(
                 _norm(q[:split] - ref) if ref is not None else None,
                 None, (q, ja))
 
-    def step(n: int, x: np.ndarray, mask, mu: float, state) -> np.ndarray:
+    def step(n: int, x: np.ndarray, mu: float, state) -> np.ndarray:
         z, ja = state
         if sampler_b is not None:
             z = z + sampler_b(n)
             ja = resolvents(2.0 * z - x, gamma)
-        a_n = sampler_a(n) if sampler_a is not None else None
-        out = x.copy()
-        for i in mask.active:
-            sl = slice(offsets[i], offsets[i + 1])
-            delta = ja[sl] - z[sl]
-            if a_n is not None:
-                delta = delta + a_n[sl]
-            out[sl] = x[sl] + mu * delta
-        return out
+        delta = ja - z
+        if sampler_a is not None:
+            delta = delta + sampler_a(n)
+        return x + mu * delta
 
     trace = _engine(cfg, x0, cfg.dr_relaxation, measure, step)
     x = trace.final.flat

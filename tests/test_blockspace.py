@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from blocksweep import (
     masked_update,
     reduce,
 )
+from blocksweep.blockspace import _masked_flat, _relaxed
 
 
 def test_construct_zero_fill():
@@ -299,3 +302,66 @@ def test_non_finite_results_raise_non_finite_error():
                       construct(d, [[-1e308], [0.0]]))
     with pytest.raises(NonFiniteError, match="must be finite"):
         BlockVector(d, [np.nan, 0.0])
+
+
+# the two per-block update loops the engine's one select replaced: the
+# relaxed drivers' masked update and the splitting drivers' step
+def _relaxed_loop(x, active, relax, target, offsets):
+    out = x.copy()
+    for i in active:
+        sl = slice(offsets[i], offsets[i + 1])
+        if relax == 1.0:
+            out[sl] = target[sl]
+        else:
+            out[sl] = x[sl] + relax * (target[sl] - x[sl])
+    return out
+
+
+def _splitting_loop(x, active, mu, ja, z, a_n, offsets):
+    out = x.copy()
+    for i in active:
+        sl = slice(offsets[i], offsets[i + 1])
+        delta = ja[sl] - z[sl]
+        if a_n is not None:
+            delta = delta + a_n[sl]
+        out[sl] = x[sl] + mu * delta
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_select_of_a_candidate_is_the_per_block_update_byte_for_byte(
+        data):
+    dims = BlockDims(data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                        max_size=64), label="dims"))
+    m, d, offsets = dims.m, dims.total, dims.offsets
+    count = data.draw(st.integers(0, m), label="active count")
+    active = tuple(sorted(data.draw(st.permutations(range(m)),
+                                    label="order")[:count]))
+    relax = data.draw(st.sampled_from([1.0, 0.5, 0.3, 1.7]), label="relax")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+
+    def draw():  # entries spread over ten decades, so roundings differ
+        return rng.standard_normal(d) * 10.0 ** rng.uniform(-5, 5, d)
+
+    x, target, ja, z = draw(), draw(), draw(), draw()
+    a_n = draw() if data.draw(st.booleans(), label="a_n") else None
+    if a_n is not None:
+        target = target + a_n
+    got = _masked_flat(x, active, _relaxed(x, relax, target), offsets)
+    assert got.tobytes() == _relaxed_loop(x, active, relax, target,
+                                          offsets).tobytes()
+    delta = ja - z if a_n is None else (ja - z) + a_n
+    got = _masked_flat(x, active, x + relax * delta, offsets)
+    assert got.tobytes() == _splitting_loop(x, active, relax, ja, z, a_n,
+                                            offsets).tobytes()
+
+
+def test_masked_update_does_not_warn_for_an_overflow_in_an_inactive_block():
+    d = BlockDims([1, 1])
+    x, t = construct(d, [[0.0], [1e308]]), construct(d, [[1.0], [-1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = masked_update(x, ActivationMask((1, 0)), 0.5, t)
+    assert out.flat.tolist() == [0.5, 1e308]
