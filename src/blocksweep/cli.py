@@ -74,11 +74,11 @@ keys, value types, and one spec per block; it hands on plain lists and
 numbers.  The values are converted to arrays and checked only by what it
 feeds, with their own messages: the constructors (block dims, schedules,
 regularity tags, grids, box bounds), ``construct`` (the blocks of
-``initial``, ``reference``, ``constant.value`` and ``affine.fixed_points``)
-and each driver's ``_check_*`` (shapes, sweeping rule, error slots,
-hypothesis bounds), on the first seed's settings.  Both run at parse time,
-which turns their errors into a ``ConfigError``, so a config that parses
-passes every check a seed makes before its first iteration.
+``initial``, ``reference``, ``constant.value`` and ``affine.fixed_points``,
+which the map must fix) and each driver's ``_check_*`` (shapes, sweeping
+rule, error slots, hypothesis bounds), on the first seed's settings; both
+run at parse time, which turns their errors into a ``ConfigError``, so a
+config that parses passes every check a seed makes before it iterates.
 Traces are written one CSV per seed with 17-significant-digit floats so a
 replayed run produces byte-identical files; the aggregate report is JSON.
 The only environment override is ``BLOCKSWEEP_OUT`` for the output
@@ -100,7 +100,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import yaml
 
-from .blockspace import BlockDims, BlockVector, _check_terms, construct
+from .blockspace import BlockDims, BlockVector, _check_terms, _norm, construct
 from .errors import (
     BlocksweepError,
     ConfigError,
@@ -124,6 +124,7 @@ from .operators import (
     Subdifferential,
     Zero,
     _family,
+    _fixed_gap,
     affine_family,
     blockwise_resolvent,
     box_projection_family,
@@ -381,8 +382,13 @@ def _coupling_gradient(spec: Mapping) -> CocoerciveOperator:
 def _affine(spec: Mapping, dims: BlockDims) -> BlockOperatorFamily:
     alpha = Schedule(**spec["alpha"]) if "alpha" in spec else None
     fixed = tuple(construct(dims, fp) for fp in spec.get("fixed_points", []))
-    return affine_family(dims, spec["matrix"], spec.get("offset"),
-                         spec["regularity"], alpha, fixed)
+    family = affine_family(dims, spec["matrix"], spec.get("offset"),
+                           spec["regularity"], alpha, fixed)
+    for k, z in enumerate(fixed):
+        if (gap := _fixed_gap(family, z)) > 1e-12 * (1.0 + _norm(z.flat)):
+            raise ConfigError(f"affine fixed_points[{k}] is not a fixed "
+                              f"point: ||T_0 z - z|| = {gap:.3e}")
+    return family
 
 
 _OPERATORS = _Table("operator", "type", {

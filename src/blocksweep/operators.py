@@ -1194,6 +1194,12 @@ def box_projection_family(lo, hi, dims: BlockDims) -> BlockOperatorFamily:
     return prox_family(boxes, 1.0)
 
 
+def _fixed_gap(T: BlockOperatorFamily, z: BlockVector) -> float:
+    """``||T_0 z - z||`` by one quiet evaluation of ``T``'s array core."""
+    with np.errstate(all="ignore"):
+        return float(np.linalg.norm(T._flat(0, z.flat) - z.flat))
+
+
 class RegularityReport(NamedTuple):
     violations: int
     worst_slack: float
@@ -1211,11 +1217,11 @@ def regularity_test(
     """Sample the defining inequality of a regularity class.
 
     One loop samples all three inequalities at pairs ``(x, y)``: ``y`` is
-    drawn after ``x``, or for a quasinonexpansive claim is a known fixed
-    point, taken as ``T y = y``.  Slacks are the left side minus the right
-    side of the squared inequality, so nonpositive slack means the sample
-    satisfies the claim.  Claims are only falsifiable by search; zero
-    violations is evidence, not proof.  It samples ``T._flat`` on arrays.
+    drawn after ``x``, or for a quasinonexpansive claim is a declared fixed
+    point, trusted as ``T y = y`` (only a config's are checked).  Slacks are
+    the left side minus the right side of the squared inequality on
+    ``T._flat``, so nonpositive slack means the sample satisfies the claim.
+    Claims are only falsifiable by search; zero violations is evidence.
     """
     if claim not in _REGULARITY_TAGS:
         raise ParameterError(f"unknown regularity claim {claim!r}")

@@ -236,7 +236,7 @@ def _cases() -> dict:
                                       [0.0, 0.0, 0.0, 0.5]],
          "offset": [1.0, 0.0, -1.0, 0.5], "regularity": "averaged",
          "alpha": {"start": 0.6, "end": 0.5, "ramp": 4},
-         "fixed_points": [[[2.0], [0.0, 0.0], [-4.0 / 3.0]]]},
+         "fixed_points": [[[2.0], [0.0, -4.0 / 3.0], [1.0]]]},
         scheme="bernoulli")
     cases["km_box_projection"] = _km(
         {"type": "box_projection", "lo": [-1.0, 0.0, -0.5, 0.0],

@@ -153,6 +153,10 @@ REJECTED = {
     # reciprocal
     "fb_min_cocoercivity_sum_underflow": _tiny_fb_min(1.0e-20),
     "fb_min_cocoercivity_overflow": _tiny_fb_min(1.0e-10),
+    # x -> 0.5 x + 1 fixes 2.0, not the declared 5.0
+    "affine_fixed_point_not_fixed": _km(
+        {"type": "affine", "matrix": [[0.5]], "offset": [1.0],
+         "fixed_points": [[[5.0]]]}, dims=[1]),
 }
 
 # the messages of the entries above whose rule no other test names
@@ -170,6 +174,8 @@ MESSAGES = {
                                          "finite, got 1 / 0.0",
     "fb_min_cocoercivity_overflow": "cocoercivity constant must be finite, "
                                     "got 1 / 1e-320",
+    "affine_fixed_point_not_fixed": "affine fixed_points[0] is not a fixed "
+                                    "point: ||T_0 z - z|| = 1.500e+00",
 }
 
 
@@ -184,6 +190,16 @@ def test_the_hosts_parse_when_the_broken_value_is_mended():
                     reference=[[1.0], [2.0]]),
                 _affine(fixed_points=[[[0.0], [0.0]]])):
         parse_config(yaml.safe_dump(doc))
+
+
+def test_a_declared_affine_fixed_point_parses_when_it_is_fixed():
+    # the rejected row above with the map's fixed point, and one whose gap
+    # is rounding only: 0.25 * (-4/3) - 1 is -4/3 to within one ulp
+    for point, matrix, offset in (([[2.0]], [[0.5]], [1.0]),
+                                  ([[-4.0 / 3.0]], [[0.25]], [-1.0])):
+        parse_config(yaml.safe_dump(_km(
+            {"type": "affine", "matrix": matrix, "offset": offset,
+             "fixed_points": [point]}, dims=[1])))
 
 
 @pytest.mark.parametrize("name", sorted(REJECTED))

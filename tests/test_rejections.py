@@ -81,6 +81,11 @@ REJECTED = [
      lambda: parse_config(_km_config("[[1.0], [1.0, 0.0]]")),
      bs.ConfigError,
      "problem.operator.matrix: matrix rows must have equal length"),
+    ("affine_fixed_point_not_fixed",  # x -> 0.5 x + 1 fixes 2.0, not 5.0
+     lambda: parse_config(_km_config("[[0.5]], offset: [1.0], "
+                                     "fixed_points: [[[5.0]]]")),
+     bs.ConfigError,
+     "affine fixed_points[0] is not a fixed point: ||T_0 z - z|| = 1.500e+00"),
     # diagnostics
     ("fejer_phi", lambda: bs.fejer_monitor(_trace(X1, X1), X1, phi="t3"),
      bs.ParameterError, "phi must be 't' or 't2', got 't3'"),
