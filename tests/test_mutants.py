@@ -3,8 +3,8 @@
 Every entry's ``old`` text must occur exactly once in its file, so each
 edit applies to the line it names; every runnable entry must name a test
 function that exists, and every other entry must give its reason.
-Running the mutants themselves takes minutes, so CI does that in its own
-step (``python tests/mutants.py``), not here.
+Running the mutants themselves takes about a minute, so CI does that in
+its own step (``python tests/mutants.py``), not here.
 """
 
 import os
